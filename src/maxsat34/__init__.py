@@ -11,11 +11,11 @@ from .bookkeep import (
     OrderError,
     StepQuantities,
     TraceState,
+    alpha,
     apply,
     new_trace,
     recompute_sat_unsat,
     step_quantities,
-    vz_quantities,
 )
 from .formula import (
     Assignment,

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .formula import Formula
+from .formula import Formula, Occurrence
 
 
 class OrderError(ValueError):
@@ -71,6 +71,7 @@ class TraceState:
     )
 
     def __init__(self, formula: Formula, order: Optional[Sequence[int]] = None):
+        compiled = formula.compiled
         self.formula = formula
         self.order = check_order(formula.num_vars, order)
         self.prefix = 0
@@ -78,12 +79,8 @@ class TraceState:
         self.sat_weight = 0
         self.unsat_weight = 0
         self._clause_sat = [False] * formula.num_clauses
-        self._clause_open = [len(c.variables()) for c in formula.clauses]
-        occ: list[list[int]] = [[] for _ in range(formula.num_vars + 1)]
-        for j, c in enumerate(formula.clauses):
-            for v in c.variables():
-                occ[v].append(j)
-        self._occ = occ
+        self._clause_open = list(compiled.open_counts)
+        self._occ = compiled.occ  # shared with the formula, read-only
 
     @property
     def doubled_bound(self) -> int:
@@ -113,6 +110,56 @@ def new_trace(formula: Formula, order: Optional[Sequence[int]] = None) -> TraceS
     return TraceState(formula, order)
 
 
+def occurrence_sums(
+    occ_v: Sequence[Occurrence], clause_sat: list[bool], clause_open: list[int]
+) -> tuple[int, int, int, int, int]:
+    """(taut, W, Wbar, F, Fbar) over the clauses of occ(v) not yet satisfied.
+
+    taut is the weight of clauses tautological in v; W (resp. Wbar) that of
+    clauses where v is the last open variable and occurs positively (resp.
+    negatively); F (resp. Fbar) that of the other clauses where v occurs
+    positively (resp. negatively).
+    """
+    taut = w_pos = w_neg = f_pos = f_neg = 0
+    for j, sign, w in occ_v:
+        if clause_sat[j]:
+            continue
+        if sign == 0:
+            taut += w
+        elif clause_open[j] == 1:
+            if sign > 0:
+                w_pos += w
+            else:
+                w_neg += w
+        elif sign > 0:
+            f_pos += w
+        else:
+            f_neg += w
+    return taut, w_pos, w_neg, f_pos, f_neg
+
+
+def assign_occurrences(
+    occ_v: Sequence[Occurrence],
+    clause_sat: list[bool],
+    clause_open: list[int],
+    value: bool,
+) -> tuple[int, int]:
+    """Sets v to value over occ(v), updating clause_sat and clause_open in
+    place; returns the (satisfied, unsatisfied) weight it adds."""
+    hit = 1 if value else -1
+    sat_gain = unsat_gain = 0
+    for j, sign, w in occ_v:
+        clause_open[j] -= 1
+        if clause_sat[j]:
+            continue
+        if sign == hit or sign == 0:
+            clause_sat[j] = True
+            sat_gain += w
+        elif clause_open[j] == 0:
+            unsat_gain += w
+    return sat_gain, unsat_gain
+
+
 def step_quantities(state: TraceState) -> StepQuantities:
     """Decision quantities for the next unassigned variable.
 
@@ -122,38 +169,11 @@ def step_quantities(state: TraceState) -> StepQuantities:
     proves impossible.
     """
     v = state.next_var()
-    clauses = state.formula.clauses
-    sat_gain_t = sat_gain_f = 0
-    unsat_gain_t = unsat_gain_f = 0
-    vz_w = vz_wbar = vz_f = vz_fbar = 0
-    for j in state._occ[v]:
-        if state._clause_sat[j]:
-            continue
-        c = clauses[j]
-        w = c.weight
-        in_pos = v in c.pos
-        in_neg = v in c.neg
-        last = state._clause_open[j] == 1
-        if in_pos and in_neg:
-            # tautological in v: satisfied either way
-            sat_gain_t += w
-            sat_gain_f += w
-        elif in_pos:
-            sat_gain_t += w
-            if last:
-                unsat_gain_f += w
-                vz_w += w
-            else:
-                vz_f += w
-        else:
-            sat_gain_f += w
-            if last:
-                unsat_gain_t += w
-                vz_wbar += w
-            else:
-                vz_fbar += w
-    t2 = sat_gain_t - unsat_gain_t
-    f2 = sat_gain_f - unsat_gain_f
+    taut, w_pos, w_neg, f_pos, f_neg = occurrence_sums(
+        state._occ[v], state._clause_sat, state._clause_open
+    )
+    t2 = taut + w_pos + f_pos - w_neg
+    f2 = taut + w_neg + f_neg - w_pos
     if t2 + f2 < 0:
         raise LemmaViolation(
             f"Lemma 1 violated at x{v}: t2 + f2 = {t2 + f2} < 0"
@@ -162,51 +182,41 @@ def step_quantities(state: TraceState) -> StepQuantities:
         var=v,
         t2=t2,
         f2=f2,
-        sat_t=state.sat_weight + sat_gain_t,
-        sat_f=state.sat_weight + sat_gain_f,
-        unsat_t=state.unsat_weight + unsat_gain_t,
-        unsat_f=state.unsat_weight + unsat_gain_f,
-        vz_w=vz_w,
-        vz_wbar=vz_wbar,
-        vz_f=vz_f,
-        vz_fbar=vz_fbar,
+        sat_t=state.sat_weight + taut + w_pos + f_pos,
+        sat_f=state.sat_weight + taut + w_neg + f_neg,
+        unsat_t=state.unsat_weight + w_neg,
+        unsat_f=state.unsat_weight + w_pos,
+        vz_w=w_pos,
+        vz_wbar=w_neg,
+        vz_f=f_pos,
+        vz_fbar=f_neg,
     )
 
 
 def apply(state: TraceState, value: bool) -> TraceState:
     """Assign the next variable in order; updates state in place."""
     v = state.next_var()
-    clauses = state.formula.clauses
     state.values[v - 1] = value
-    for j in state._occ[v]:
-        state._clause_open[j] -= 1
-        if state._clause_sat[j]:
-            continue
-        c = clauses[j]
-        if (value and v in c.pos) or (not value and v in c.neg):
-            state._clause_sat[j] = True
-            state.sat_weight += c.weight
-        elif state._clause_open[j] == 0:
-            state.unsat_weight += c.weight
+    sat_gain, unsat_gain = assign_occurrences(
+        state._occ[v], state._clause_sat, state._clause_open, value
+    )
+    state.sat_weight += sat_gain
+    state.unsat_weight += unsat_gain
     state.prefix += 1
     return state
 
 
-def vz_quantities(
-    q: StepQuantities,
-) -> tuple[int, int, int, int, Optional[Fraction]]:
-    """(W_i, Wbar_i, F_i, Fbar_i, alpha).
+def alpha(q: StepQuantities) -> Optional[Fraction]:
+    """The alpha-rule quantity (W_i + F_i - Wbar_i) / (F_i + Fbar_i), exact.
 
-    alpha = (W_i + F_i - Wbar_i) / (F_i + Fbar_i) as an exact Fraction.
     A zero denominator (every touched clause is decided either way by this
-    variable) is reported as alpha=None; callers resolve it from the signs
-    of t2/f2: t2 <= 0 acts as alpha <= 0, f2 <= 0 as alpha >= 1.
+    variable) is reported as None; callers resolve it from the signs of
+    t2/f2: t2 <= 0 acts as alpha <= 0, f2 <= 0 as alpha >= 1.
     """
     den = q.vz_f + q.vz_fbar
     if den == 0:
-        return q.vz_w, q.vz_wbar, q.vz_f, q.vz_fbar, None
-    alpha = Fraction(q.vz_w + q.vz_f - q.vz_wbar, den)
-    return q.vz_w, q.vz_wbar, q.vz_f, q.vz_fbar, alpha
+        return None
+    return Fraction(q.vz_w + q.vz_f - q.vz_wbar, den)
 
 
 def recompute_sat_unsat(

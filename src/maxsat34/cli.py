@@ -208,6 +208,8 @@ def cmd_verify(args) -> int:
 
 
 def cmd_expectation(args) -> int:
+    if args.trials < 0:
+        raise ValueError(f"--trials must be >= 0, got {args.trials}")
     f = _read_formula(args.input)
     order = _make_order(f, args.order, args.order_seed)
     exp = oracle.exact_expectation(f, order)
@@ -277,7 +279,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_exp = sub.add_parser("expectation", help="exact expected weight")
     p_exp.add_argument("input")
     p_exp.add_argument("--trials", type=int, default=0,
-                       help="also estimate by Monte Carlo over this many runs")
+                       help="also estimate by Monte Carlo over this many runs"
+                            " (0: exact only)")
     p_exp.add_argument("--seed", type=int, default=0)
     p_exp.add_argument("--order", choices=("identity", "shuffled"), default="identity")
     p_exp.add_argument("--order-seed", type=int, default=0)

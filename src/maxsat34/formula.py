@@ -4,7 +4,8 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from functools import cached_property
+from typing import Iterable, NamedTuple, Sequence
 
 
 class FormulaError(ValueError):
@@ -37,6 +38,25 @@ class Clause:
         return bool(self.pos & self.neg)
 
 
+# One occurrence of a variable: (clause index, sign, clause weight), where
+# sign is +1 (positive literal), -1 (negative literal) or 0 (the clause
+# holds both literals, so it is tautological in that variable).
+Occurrence = tuple[int, int, int]
+
+
+class CompiledFormula(NamedTuple):
+    """The read-only form every sequential run shares.
+
+    occ[v] lists the occurrences of variable v in clause order (occ[0] is
+    empty); open_counts[j] is the number of distinct variables of clause j.
+    The lists in occ are never mutated: turning them into tuples would cost
+    as much again as building them.
+    """
+
+    occ: list[list[Occurrence]]
+    open_counts: tuple[int, ...]
+
+
 @dataclass(frozen=True)
 class Formula:
     """An immutable weighted CNF formula over variables 1..num_vars."""
@@ -62,6 +82,31 @@ class Formula:
     @property
     def num_clauses(self) -> int:
         return len(self.clauses)
+
+    @cached_property
+    def compiled(self) -> CompiledFormula:
+        """Occurrence triples and open-literal counts, built once."""
+        occ: list[list[Occurrence]] = [[] for _ in range(self.num_vars + 1)]
+        open_counts = []
+        for j, c in enumerate(self.clauses):
+            pos, neg, w = c.pos, c.neg, c.weight
+            if pos.isdisjoint(neg):
+                open_counts.append(len(pos) + len(neg))
+            else:
+                both = pos & neg
+                pos, neg = pos - both, neg - both
+                open_counts.append(len(pos) + len(neg) + len(both))
+                occ_j = (j, 0, w)
+                for v in both:
+                    occ[v].append(occ_j)
+            # one shared triple per (clause, sign) keeps the build cheap
+            occ_j = (j, 1, w)
+            for v in pos:
+                occ[v].append(occ_j)
+            occ_j = (j, -1, w)
+            for v in neg:
+                occ[v].append(occ_j)
+        return CompiledFormula(occ, tuple(open_counts))
 
 
 # An assignment is a sequence of num_vars booleans; index i holds x_{i+1}.

@@ -15,10 +15,13 @@ from typing import Iterator, Optional, Sequence
 from .bookkeep import (
     LemmaViolation,
     StepQuantities,
+    alpha,
     apply,
+    assign_occurrences,
+    check_order,
     new_trace,
+    occurrence_sums,
     step_quantities,
-    vz_quantities,
 )
 from .formula import Assignment, Formula
 
@@ -123,21 +126,21 @@ def run_vanzuylen(
     steps = []
     for _ in range(formula.num_vars):
         q = step_quantities(trace)
-        _, _, _, _, alpha = vz_quantities(q)
+        a = alpha(q)
         draw = None
-        if alpha is None:
+        if a is None:
             # denominator 0: t2 = -f2, both decisions forced
             if q.f2 <= 0:
                 value, prob_true = True, Fraction(1)
             else:
                 value, prob_true = False, Fraction(0)
-        elif alpha <= 0:
+        elif a <= 0:
             value, prob_true = False, Fraction(0)
-        elif alpha >= 1:
+        elif a >= 1:
             value, prob_true = True, Fraction(1)
         else:
             draw = Fraction(next(words), _TWO64)
-            value, prob_true = draw < alpha, alpha
+            value, prob_true = draw < a, a
         steps.append(StepRecord(q.var, q.t2, q.f2, value, prob_true, draw))
         apply(trace, value)
     return RunResult(
@@ -154,12 +157,24 @@ def run_weight(
     seed: int = 0,
 ) -> int:
     """Weight-only fast path of run_randomized (same decisions, no step
-    records); used for Monte Carlo sweeps."""
-    trace = new_trace(formula, order)
+    records); used for Monte Carlo sweeps.  Runs the bookkeep counting
+    kernel on two local lists instead of a TraceState."""
+    occ, open_counts = formula.compiled
+    clause_sat = [False] * len(open_counts)
+    clause_open = list(open_counts)
     words = splitmix64(seed)
-    for _ in range(formula.num_vars):
-        q = step_quantities(trace)
-        t2, f2 = q.t2, q.f2
+    weight = 0
+    for v in check_order(formula.num_vars, order):
+        taut, w_pos, w_neg, f_pos, f_neg = occurrence_sums(
+            occ[v], clause_sat, clause_open
+        )
+        # the doubled bound deltas, as in bookkeep.step_quantities
+        t2 = taut + w_pos + f_pos - w_neg
+        f2 = taut + w_neg + f_neg - w_pos
+        if t2 + f2 < 0:
+            raise LemmaViolation(
+                f"Lemma 1 violated at x{v}: t2 + f2 = {t2 + f2} < 0"
+            )
         if f2 <= 0 and t2 > 0:
             value = True
         elif t2 <= 0 and f2 > 0:
@@ -169,8 +184,8 @@ def run_weight(
         else:
             # draw < t2/(t2+f2) with draw = word/2^64, compared exactly
             value = next(words) * (t2 + f2) < t2 * _TWO64
-        apply(trace, value)
-    return trace.sat_weight
+        weight += assign_occurrences(occ[v], clause_sat, clause_open, value)[0]
+    return weight
 
 
 def _run_deterministic(formula, order, prefer_true_metric) -> RunResult:

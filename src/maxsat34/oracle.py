@@ -188,6 +188,8 @@ def monte_carlo_mean(
 ) -> tuple[float, float]:
     """(sample mean, standard error of the mean) of w(S_n) over seeded
     randomized runs with seeds base_seed .. base_seed + trials - 1."""
+    if trials < 1:
+        raise ValueError(f"trials must be >= 1, got {trials}")
     total = 0
     total_sq = 0
     for k in range(trials):

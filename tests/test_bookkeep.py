@@ -2,16 +2,20 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from maxsat34 import (
+    Clause,
+    Formula,
     OrderError,
+    alpha,
     apply,
     new_trace,
     recompute_sat_unsat,
+    run_randomized,
     run_weight,
     satisfied_weight,
     step_quantities,
-    vz_quantities,
 )
 from maxsat34.greedy import splitmix64
 
@@ -85,26 +89,28 @@ def test_apply_rejects_past_end():
         step_quantities(t)
 
 
+def vz_fields(q):
+    return q.vz_w, q.vz_wbar, q.vz_f, q.vz_fbar
+
+
 def test_vz_unit_clause_marker():
     f = formula(1, clause(pos=(1,)))
-    w, wbar, fv, fbar, alpha = vz_quantities(step_quantities(new_trace(f)))
-    assert (w, wbar, fv, fbar) == (1, 0, 0, 0)
-    assert alpha is None
+    q = step_quantities(new_trace(f))
+    assert vz_fields(q) == (1, 0, 0, 0)
+    assert alpha(q) is None
 
 
 def test_vz_two_literal_clause():
     f = formula(2, clause(pos=(1, 2)))
-    w, wbar, fv, fbar, alpha = vz_quantities(step_quantities(new_trace(f)))
-    assert (w, wbar, fv, fbar) == (0, 0, 1, 0)
-    assert alpha == 1
+    q = step_quantities(new_trace(f))
+    assert vz_fields(q) == (0, 0, 1, 0)
+    assert alpha(q) == 1
 
 
 def test_vz_three_clause(three_clause):
-    w, wbar, fv, fbar, alpha = vz_quantities(
-        step_quantities(new_trace(three_clause))
-    )
-    assert (w, wbar, fv, fbar) == (1, 2, 2, 0)
-    assert alpha == Fraction(1, 2)
+    q = step_quantities(new_trace(three_clause))
+    assert vz_fields(q) == (1, 2, 2, 0)
+    assert alpha(q) == Fraction(1, 2)
 
 
 def full_trace_checks(f, order, values_source):
@@ -159,3 +165,59 @@ def test_run_weight_matches_direct_eval(small_corpus):
     for f in small_corpus[:20]:
         w = run_weight(f, None, seed=3)
         assert 0 <= w <= f.total_weight
+
+
+@st.composite
+def edge_case_formulas(draw):
+    """(formula, order) with tautologies, duplicate clauses, weight 0,
+    weights >= 2^64 and n = 0 all likely."""
+    n = draw(st.integers(0, 5))
+    if n == 0:
+        return Formula(num_vars=0, clauses=()), []
+    variables = st.frozensets(st.integers(1, n), max_size=3)
+    weights = st.one_of(st.integers(0, 3), st.integers(2**64, 2**66))
+    clause_st = (
+        st.tuples(variables, variables, weights)
+        .filter(lambda t: t[0] or t[1])
+        .map(lambda t: Clause(*t))
+    )
+    clauses = draw(st.lists(clause_st, max_size=8))
+    if clauses:
+        clauses += draw(st.lists(st.sampled_from(clauses), max_size=3))
+    order = draw(st.permutations(range(1, n + 1)))
+    return Formula(num_vars=n, clauses=tuple(clauses)), list(order)
+
+
+def check_compiled(f):
+    occ, open_counts = f.compiled
+    assert open_counts == tuple(len(c.variables()) for c in f.clauses)
+    assert sum(map(len, occ)) == sum(open_counts)
+    for v, occ_v in enumerate(occ):
+        for j, sign, w in occ_v:
+            c = f.clauses[j]
+            assert w == c.weight
+            assert sign == (v in c.pos) - (v in c.neg)
+            assert v in c.pos or v in c.neg
+
+
+@settings(max_examples=300, deadline=None)
+@given(edge_case_formulas(), st.integers(0, 2**64 - 1))
+def test_kernel_matches_rescan_on_edge_cases(case, seed):
+    f, order = case
+    check_compiled(f)
+    run = run_randomized(f, order, seed)
+    t = new_trace(f, order)
+    for step in run.steps:
+        q = step_quantities(t)
+        assert (q.var, q.t2, q.f2) == (step.var, step.t2, step.f2)
+        for value, expected in (
+            (True, (q.sat_t, q.unsat_t)),
+            (False, (q.sat_f, q.unsat_f)),
+        ):
+            values = list(t.values)
+            values[q.var - 1] = value
+            assert recompute_sat_unsat(f, values) == expected
+        apply(t, step.value)
+        assert (t.sat_weight, t.unsat_weight) == recompute_sat_unsat(f, t.values)
+    assert t.sat_weight == run.weight
+    assert run_weight(f, order, seed) == run.weight

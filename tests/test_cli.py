@@ -108,6 +108,13 @@ def test_expectation_trials_zero_is_exact_only(capsys, unit_file):
     assert "trials" not in out
 
 
+def test_expectation_rejects_negative_trials(capsys, unit_file):
+    code, out, err = run(capsys, "expectation", "--trials", "-5", unit_file)
+    assert code == 2
+    assert out == ""
+    assert "--trials must be >= 0, got -5" in err
+
+
 def test_verify_single_instance(capsys, unit_file):
     code, out, _ = run(capsys, "verify", unit_file)
     assert code == 0

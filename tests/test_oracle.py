@@ -99,6 +99,12 @@ def test_monte_carlo_close_to_exact(three_clause):
     assert abs(mean - float(rep.expectation)) <= 3 * se
 
 
+@pytest.mark.parametrize("trials", [0, -5])
+def test_monte_carlo_rejects_bad_trial_count(three_clause, trials):
+    with pytest.raises(ValueError, match="trials must be >= 1"):
+        monte_carlo_mean(three_clause, trials=trials)
+
+
 def test_randomized_lemmas_single_unit():
     f = formula(1, clause(pos=(1,)))
     rep = check_randomized_lemmas(f)
