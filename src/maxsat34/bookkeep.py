@@ -3,13 +3,16 @@
 Tracks the satisfied weight, the unsatisfied weight, and the doubled
 midpoint bound 2*B_i = SAT_i + (W - UNSAT_i) along a sequential assignment.
 Everything is kept doubled so all quantities stay exact integers.
+step_deltas is the counting kernel of every step and drive the sequential
+driver; TraceState, step_quantities and apply serve the branching walks of
+the oracles.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from .formula import Formula, Occurrence
 
@@ -30,7 +33,8 @@ class StepQuantities:
     t2/f2 are the doubled bound changes 2*t_i and 2*f_i.  sat_t, unsat_t
     (resp. _f) are the absolute SAT/UNSAT totals after setting the variable
     true (resp. false).  vz_w, vz_wbar, vz_f, vz_fbar are the weights
-    W_i, Wbar_i, F_i, Fbar_i used by the alpha decision rule.
+    W_i, Wbar_i, F_i, Fbar_i used by the alpha decision rule; a clause
+    tautological in the variable counts in both F_i and Fbar_i.
     """
 
     var: int
@@ -110,32 +114,49 @@ def new_trace(formula: Formula, order: Optional[Sequence[int]] = None) -> TraceS
     return TraceState(formula, order)
 
 
-def occurrence_sums(
-    occ_v: Sequence[Occurrence], clause_sat: list[bool], clause_open: list[int]
-) -> tuple[int, int, int, int, int]:
-    """(taut, W, Wbar, F, Fbar) over the clauses of occ(v) not yet satisfied.
+def step_deltas(
+    v: int,
+    occ_v: Sequence[Occurrence],
+    clause_sat: list[bool],
+    clause_open: list[int],
+) -> tuple[int, int, tuple[int, int, int, int, int]]:
+    """(t2, f2, (taut, W, Wbar, F, Fbar)) for variable v over occ(v).
 
-    taut is the weight of clauses tautological in v; W (resp. Wbar) that of
-    clauses where v is the last open variable and occurs positively (resp.
-    negatively); F (resp. Fbar) that of the other clauses where v occurs
-    positively (resp. negatively).
+    The sums run over the clauses not yet satisfied: taut is the weight of
+    clauses tautological in v; W (resp. Wbar) that of clauses where v is the
+    last open variable and occurs positively (resp. negatively); F (resp.
+    Fbar) that of the other clauses where v occurs positively (resp.
+    negatively).  t2 and f2 are the doubled bound changes of setting v true
+    and false.  Raises LemmaViolation if t2 + f2 < 0, which the analysis
+    proves impossible.
     """
     taut = w_pos = w_neg = f_pos = f_neg = 0
     for j, sign, w in occ_v:
         if clause_sat[j]:
             continue
-        if sign == 0:
-            taut += w
-        elif clause_open[j] == 1:
-            if sign > 0:
+        # tautological occurrences (sign 0) are rare: tested last
+        if sign > 0:
+            if clause_open[j] == 1:
                 w_pos += w
             else:
+                f_pos += w
+        elif sign:
+            if clause_open[j] == 1:
                 w_neg += w
-        elif sign > 0:
-            f_pos += w
+            else:
+                f_neg += w
         else:
-            f_neg += w
-    return taut, w_pos, w_neg, f_pos, f_neg
+            taut += w
+    t2 = taut + w_pos + f_pos - w_neg
+    f2 = taut + w_neg + f_neg - w_pos
+    if t2 + f2 < 0:
+        raise_lemma1(v, t2, f2)
+    return t2, f2, (taut, w_pos, w_neg, f_pos, f_neg)
+
+
+def raise_lemma1(v: int, t2: int, f2: int) -> None:
+    """Reports t2 + f2 < 0 at x_v, which Lemma 1 rules out."""
+    raise LemmaViolation(f"Lemma 1 violated at x{v}: t2 + f2 = {t2 + f2} < 0")
 
 
 def assign_occurrences(
@@ -146,13 +167,13 @@ def assign_occurrences(
 ) -> tuple[int, int]:
     """Sets v to value over occ(v), updating clause_sat and clause_open in
     place; returns the (satisfied, unsatisfied) weight it adds."""
-    hit = 1 if value else -1
+    miss = -1 if value else 1  # the one sign this value leaves unsatisfied
     sat_gain = unsat_gain = 0
     for j, sign, w in occ_v:
         clause_open[j] -= 1
         if clause_sat[j]:
             continue
-        if sign == hit or sign == 0:
+        if sign != miss:
             clause_sat[j] = True
             sat_gain += w
         elif clause_open[j] == 0:
@@ -165,19 +186,13 @@ def step_quantities(state: TraceState) -> StepQuantities:
 
     A clause counts toward unsat_t exactly when it is not yet satisfied,
     the variable is its last unassigned one, and setting it true does not
-    satisfy it.  Raises LemmaViolation if t2 + f2 < 0, which the analysis
-    proves impossible.
+    satisfy it.  The alpha rule counts a clause tautological in the
+    variable in both F and Fbar.  Raises LemmaViolation as step_deltas does.
     """
     v = state.next_var()
-    taut, w_pos, w_neg, f_pos, f_neg = occurrence_sums(
-        state._occ[v], state._clause_sat, state._clause_open
+    t2, f2, (taut, w_pos, w_neg, f_pos, f_neg) = step_deltas(
+        v, state._occ[v], state._clause_sat, state._clause_open
     )
-    t2 = taut + w_pos + f_pos - w_neg
-    f2 = taut + w_neg + f_neg - w_pos
-    if t2 + f2 < 0:
-        raise LemmaViolation(
-            f"Lemma 1 violated at x{v}: t2 + f2 = {t2 + f2} < 0"
-        )
     return StepQuantities(
         var=v,
         t2=t2,
@@ -188,8 +203,8 @@ def step_quantities(state: TraceState) -> StepQuantities:
         unsat_f=state.unsat_weight + w_pos,
         vz_w=w_pos,
         vz_wbar=w_neg,
-        vz_f=f_pos,
-        vz_fbar=f_neg,
+        vz_f=f_pos + taut,
+        vz_fbar=f_neg + taut,
     )
 
 
@@ -204,6 +219,28 @@ def apply(state: TraceState, value: bool) -> TraceState:
     state.unsat_weight += unsat_gain
     state.prefix += 1
     return state
+
+
+def drive(
+    formula: Formula,
+    order: Optional[Sequence[int]],
+    pick: Callable[[int, int, int, tuple[int, int, int, int, int]], bool],
+) -> tuple[list[bool], int]:
+    """Sets the variables one by one in order, each to the value
+    pick(v, t2, f2, sums) returns, with (t2, f2, sums) from step_deltas;
+    returns (values, satisfied weight).  The one sequential driver of every
+    recorded algorithm."""
+    occ, open_counts = formula.compiled
+    clause_sat = [False] * len(open_counts)
+    clause_open = list(open_counts)
+    values = [False] * formula.num_vars
+    weight = 0
+    for v in check_order(formula.num_vars, order):
+        occ_v = occ[v]
+        t2, f2, sums = step_deltas(v, occ_v, clause_sat, clause_open)
+        value = values[v - 1] = pick(v, t2, f2, sums)
+        weight += assign_occurrences(occ_v, clause_sat, clause_open, value)[0]
+    return values, weight
 
 
 def alpha(q: StepQuantities) -> Optional[Fraction]:

@@ -186,10 +186,16 @@ def cmd_verify(args) -> int:
         except bookkeep.LemmaViolation as exc:
             entry["violation"] = str(exc)
             passed = False
+        except oracle.LimitError as exc:
+            # too large for the exhaustive oracles: neither pass nor fail
+            entry["skipped"] = str(exc)
+            results.append(entry)
+            continue
         entry["pass"] = passed
         results.append(entry)
 
-    all_pass = all(e["pass"] for e in results)
+    checked = [e for e in results if "skipped" not in e]
+    all_pass = all(e["pass"] for e in checked)
     report = {
         **header,
         "instances": results if args.verbose else len(results),
@@ -197,10 +203,12 @@ def cmd_verify(args) -> int:
         "min_ratio": None if min_ratio is None else _frac(min_ratio),
         "all_pass": all_pass,
     }
+    if len(checked) < len(results):
+        report["skipped"] = len(results) - len(checked)
     if not all_pass:
         report["failing"] = [
             {k: e[k] for k in ("instance", "violation", "failures") if k in e}
-            for e in results
+            for e in checked
             if not e["pass"]
         ]
     _emit(report, args)

@@ -11,12 +11,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Optional, Sequence
 
-from .bookkeep import (
-    LemmaViolation,
-    apply,
-    new_trace,
-    step_quantities,
-)
+from .bookkeep import LemmaViolation, drive
 from .formula import Formula
 from .greedy import RunResult, StepRecord
 
@@ -222,20 +217,18 @@ def run_lp_rounding(
     """
     if sol is None:
         sol = solve_lp(build_relaxation(formula))
-    trace = new_trace(formula, order)
     y_hat: list[Fraction] = [Fraction(v) for v in sol.y_star]
     steps = []
     lp_prev = lp_value(formula, y_hat)
-    for _ in range(formula.num_vars):
-        q = step_quantities(trace)
-        v = q.var
-        y_star_v = sol.y_star[v - 1]
+
+    def pick(v, t2, f2, sums):
+        nonlocal lp_prev
         y_hat[v - 1] = Fraction(1)
         lp_t = lp_value(formula, y_hat)
         y_hat[v - 1] = Fraction(0)
         lp_f = lp_value(formula, y_hat)
-        t_i = Fraction(q.t2, 2)
-        f_i = Fraction(q.f2, 2)
+        t_i = Fraction(t2, 2)
+        f_i = Fraction(f2, 2)
         cond_t = lp_prev - lp_t <= t_i
         cond_f = lp_prev - lp_f <= f_i
         if not (cond_t or cond_f):
@@ -254,23 +247,19 @@ def run_lp_rounding(
             on_step(
                 {
                     "var": v,
-                    "t2": q.t2,
-                    "f2": q.f2,
-                    "y_star": y_star_v,
+                    "t2": t2,
+                    "f2": f2,
+                    "y_star": sol.y_star[v - 1],
                     "lp_prev": lp_prev,
                     "lp_t": lp_t,
                     "lp_f": lp_f,
                     "value": value,
                 }
             )
-        y_hat[v - 1] = Fraction(1) if value else Fraction(0)
-        prob_true = Fraction(1) if value else Fraction(0)
-        steps.append(StepRecord(v, q.t2, q.f2, value, prob_true, None))
-        apply(trace, value)
+        y_hat[v - 1] = Fraction(value)
+        steps.append(StepRecord(v, t2, f2, value, Fraction(value), None))
         lp_prev = lp_next
-    return RunResult(
-        assignment=tuple(trace.values),  # type: ignore[arg-type]
-        weight=trace.sat_weight,
-        steps=tuple(steps),
-        seed=None,
-    )
+        return value
+
+    values, weight = drive(formula, order, pick)
+    return RunResult(tuple(values), weight, tuple(steps), None)

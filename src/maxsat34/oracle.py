@@ -11,13 +11,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .bookkeep import (
-    TraceState,
-    apply,
-    check_order,
-    new_trace,
-    step_quantities,
-)
+from . import greedy
+from .bookkeep import TraceState, apply, drive, new_trace, step_quantities
 from .formula import Assignment, Formula, satisfied_weight
 from .greedy import run_weight
 from .lp import LpSolution, build_relaxation, run_lp_rounding, solve_lp
@@ -103,16 +98,14 @@ def brute_force_opt(
     return best_weight, best
 
 
-def _decision(q) -> tuple[Optional[bool], Fraction]:
-    """(forced value or None, probability of true) under the randomized
-    rule, mirroring greedy.choose without consuming randomness."""
-    if q.f2 <= 0 and q.t2 > 0:
-        return True, Fraction(1)
-    if q.t2 <= 0 and q.f2 > 0:
-        return False, Fraction(0)
-    if q.t2 <= 0 and q.f2 <= 0:
-        return True, Fraction(1)
-    return None, Fraction(q.t2, q.t2 + q.f2)
+def _branches(t2: int, f2: int) -> list[tuple[bool, Fraction]]:
+    """(value, probability) of every setting greedy.decide can take: one
+    for a forced step, true then false for a randomized one."""
+    num, den = greedy.decide(t2, f2)
+    if den == 1:
+        return [(num == 1, Fraction(1))]
+    p_true = Fraction(num, den)
+    return [(True, p_true), (False, 1 - p_true)]
 
 
 def exact_expectation(
@@ -132,14 +125,13 @@ def exact_expectation(
         if trace.prefix == n:
             return Fraction(trace.sat_weight)
         q = step_quantities(trace)
-        forced, p_true = _decision(q)
-        if forced is not None:
-            return expand(apply(trace, forced))
+        branches = _branches(q.t2, q.f2)
+        if len(branches) == 1:
+            return expand(apply(trace, branches[0][0]))
+        (_, p_true), (_, p_false) = branches
         child_true = apply(trace.copy(), True)
         child_false = apply(trace, False)
-        return p_true * expand(child_true) + (1 - p_true) * expand(
-            child_false
-        )
+        return p_true * expand(child_true) + p_false * expand(child_false)
 
     expectation = expand(new_trace(formula, order))
     opt, _ = brute_force_opt(formula)
@@ -158,23 +150,17 @@ def enumerate_expectation(
     n = formula.num_vars
     if n > limit:
         raise LimitError(f"n = {n} exceeds path-enumeration limit {limit}")
-    ord_tuple = check_order(n, order)
     total = Fraction(0)
     for code in range(1 << n):
         values = tuple(bool(code >> i & 1) for i in range(n))
         prob = Fraction(1)
-        trace = new_trace(formula, ord_tuple)
-        for step in range(n):
-            q = step_quantities(trace)
-            target = values[q.var - 1]
-            forced, p_true = _decision(q)
-            if forced is not None:
-                if forced != target:
-                    prob = Fraction(0)
-                    break
-            else:
-                prob *= p_true if target else 1 - p_true
-            apply(trace, target)
+
+        def follow(v, t2, f2, sums):
+            nonlocal prob
+            prob *= dict(_branches(t2, f2)).get(values[v - 1], 0)
+            return values[v - 1]
+
+        drive(formula, order, follow)
         if prob:
             total += prob * satisfied_weight(formula, values)
     return total
@@ -245,15 +231,8 @@ def check_randomized_lemmas(
         step = trace.prefix + 1
         q = step_quantities(trace)
         v = q.var
-        forced, p_true = _decision(q)
         w_prev = _spliced_weight(formula, trace.values, x_star)
-
-        branches: list[tuple[bool, Fraction]] = []
-        if forced is not None:
-            branches.append((forced, Fraction(1)))
-        else:
-            branches.append((True, p_true))
-            branches.append((False, 1 - p_true))
+        branches = _branches(q.t2, q.f2)
 
         expected_drop = Fraction(0)
         expected_bound = Fraction(0)

@@ -13,6 +13,7 @@ from maxsat34 import (
     new_trace,
     recompute_sat_unsat,
     run_randomized,
+    run_vanzuylen,
     run_weight,
     satisfied_weight,
     step_quantities,
@@ -210,6 +211,10 @@ def test_kernel_matches_rescan_on_edge_cases(case, seed):
     for step in run.steps:
         q = step_quantities(t)
         assert (q.var, q.t2, q.f2) == (step.var, step.t2, step.f2)
+        # alpha-rule identities, tautological clauses included
+        assert q.vz_w + q.vz_f - q.vz_wbar == q.t2
+        assert q.vz_wbar + q.vz_fbar - q.vz_w == q.f2
+        assert q.vz_f + q.vz_fbar == q.t2 + q.f2
         for value, expected in (
             (True, (q.sat_t, q.unsat_t)),
             (False, (q.sat_f, q.unsat_f)),
@@ -221,3 +226,4 @@ def test_kernel_matches_rescan_on_edge_cases(case, seed):
         assert (t.sat_weight, t.unsat_weight) == recompute_sat_unsat(f, t.values)
     assert t.sat_weight == run.weight
     assert run_weight(f, order, seed) == run.weight
+    assert run_vanzuylen(f, order, seed) == run

@@ -132,6 +132,7 @@ def test_verify_corpus_sweep(capsys):
     assert report["all_pass"] is True
     assert report["count"] == 20
     assert report["corpus"]["n"] == 5  # parameters embedded for replay
+    assert "skipped" not in report  # only present when nonzero
 
 
 def test_verify_structured_reports_identical(capsys):
@@ -153,6 +154,23 @@ def test_verify_corrupted_bookkeeping_names_lemma1(capsys, unit_file, monkeypatc
     code, out, _ = run(capsys, "verify", unit_file)
     assert code == 1
     assert "Lemma 1" in out
+
+
+def test_verify_skips_oversized_instance(capsys, tmp_path, unit_file):
+    big = tmp_path / "n16.wcnf"
+    big.write_text("p wcnf 16 1\n1 16 0\n")
+    code, out, _ = run(
+        capsys, "verify", "--verbose", "--format", "structured",
+        str(big), unit_file,
+    )
+    assert code == 0
+    report = json.loads(out)
+    assert (report["count"], report["skipped"], report["all_pass"]) == (2, 1, True)
+    skipped, checked = report["instances"]
+    assert "pass" not in skipped
+    assert "exceeds expectation limit" in skipped["skipped"]
+    assert checked["pass"] is True
+    assert "failing" not in report
 
 
 def test_verify_needs_input(capsys):
