@@ -11,7 +11,6 @@ from .bookkeep import (
     OrderError,
     StepQuantities,
     TraceState,
-    alpha,
     apply,
     new_trace,
     recompute_sat_unsat,
@@ -31,7 +30,6 @@ from .formula import (
 from .greedy import (
     RunResult,
     StepRecord,
-    choose,
     run_greedy_sat,
     run_greedy_unsat,
     run_randomized,

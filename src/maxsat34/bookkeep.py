@@ -3,15 +3,16 @@
 Tracks the satisfied weight, the unsatisfied weight, and the doubled
 midpoint bound 2*B_i = SAT_i + (W - UNSAT_i) along a sequential assignment.
 Everything is kept doubled so all quantities stay exact integers.
-step_deltas is the counting kernel of every step and drive the sequential
-driver; TraceState, step_quantities and apply serve the branching walks of
-the oracles.
+step_deltas is the counting kernel of every step: it holds the only t2/f2
+derivation and the only Lemma 1 check, and returns the sums (taut, W, Wbar,
+F, Fbar) from which the alpha rule and the greedy baselines decide.  drive
+is the sequential driver; TraceState, step_quantities and apply serve the
+decision-tree walk of the oracles.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Callable, Optional, Sequence
 
 from .formula import Formula, Occurrence
@@ -32,9 +33,7 @@ class StepQuantities:
 
     t2/f2 are the doubled bound changes 2*t_i and 2*f_i.  sat_t, unsat_t
     (resp. _f) are the absolute SAT/UNSAT totals after setting the variable
-    true (resp. false).  vz_w, vz_wbar, vz_f, vz_fbar are the weights
-    W_i, Wbar_i, F_i, Fbar_i used by the alpha decision rule; a clause
-    tautological in the variable counts in both F_i and Fbar_i.
+    true (resp. false).
     """
 
     var: int
@@ -44,10 +43,6 @@ class StepQuantities:
     sat_f: int
     unsat_t: int
     unsat_f: int
-    vz_w: int
-    vz_wbar: int
-    vz_f: int
-    vz_fbar: int
 
 
 def check_order(n: int, order: Optional[Sequence[int]]) -> tuple[int, ...]:
@@ -150,13 +145,10 @@ def step_deltas(
     t2 = taut + w_pos + f_pos - w_neg
     f2 = taut + w_neg + f_neg - w_pos
     if t2 + f2 < 0:
-        raise_lemma1(v, t2, f2)
+        raise LemmaViolation(
+            f"Lemma 1 violated at x{v}: t2 + f2 = {t2 + f2} < 0"
+        )
     return t2, f2, (taut, w_pos, w_neg, f_pos, f_neg)
-
-
-def raise_lemma1(v: int, t2: int, f2: int) -> None:
-    """Reports t2 + f2 < 0 at x_v, which Lemma 1 rules out."""
-    raise LemmaViolation(f"Lemma 1 violated at x{v}: t2 + f2 = {t2 + f2} < 0")
 
 
 def assign_occurrences(
@@ -186,8 +178,7 @@ def step_quantities(state: TraceState) -> StepQuantities:
 
     A clause counts toward unsat_t exactly when it is not yet satisfied,
     the variable is its last unassigned one, and setting it true does not
-    satisfy it.  The alpha rule counts a clause tautological in the
-    variable in both F and Fbar.  Raises LemmaViolation as step_deltas does.
+    satisfy it.  Raises LemmaViolation as step_deltas does.
     """
     v = state.next_var()
     t2, f2, (taut, w_pos, w_neg, f_pos, f_neg) = step_deltas(
@@ -201,10 +192,6 @@ def step_quantities(state: TraceState) -> StepQuantities:
         sat_f=state.sat_weight + taut + w_neg + f_neg,
         unsat_t=state.unsat_weight + w_neg,
         unsat_f=state.unsat_weight + w_pos,
-        vz_w=w_pos,
-        vz_wbar=w_neg,
-        vz_f=f_pos + taut,
-        vz_fbar=f_neg + taut,
     )
 
 
@@ -241,19 +228,6 @@ def drive(
         value = values[v - 1] = pick(v, t2, f2, sums)
         weight += assign_occurrences(occ_v, clause_sat, clause_open, value)[0]
     return values, weight
-
-
-def alpha(q: StepQuantities) -> Optional[Fraction]:
-    """The alpha-rule quantity (W_i + F_i - Wbar_i) / (F_i + Fbar_i), exact.
-
-    A zero denominator (every touched clause is decided either way by this
-    variable) is reported as None; callers resolve it from the signs of
-    t2/f2: t2 <= 0 acts as alpha <= 0, f2 <= 0 as alpha >= 1.
-    """
-    den = q.vz_f + q.vz_fbar
-    if den == 0:
-        return None
-    return Fraction(q.vz_w + q.vz_f - q.vz_wbar, den)
 
 
 def recompute_sat_unsat(

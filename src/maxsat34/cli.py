@@ -195,7 +195,8 @@ def cmd_verify(args) -> int:
         results.append(entry)
 
     checked = [e for e in results if "skipped" not in e]
-    all_pass = all(e["pass"] for e in checked)
+    # a run that checked no instance showed nothing: it is not a pass
+    all_pass = bool(checked) and all(e["pass"] for e in checked)
     report = {
         **header,
         "instances": results if args.verbose else len(results),
@@ -205,12 +206,13 @@ def cmd_verify(args) -> int:
     }
     if len(checked) < len(results):
         report["skipped"] = len(results) - len(checked)
-    if not all_pass:
-        report["failing"] = [
-            {k: e[k] for k in ("instance", "violation", "failures") if k in e}
-            for e in checked
-            if not e["pass"]
-        ]
+    failing = [
+        {k: e[k] for k in ("instance", "violation", "failures") if k in e}
+        for e in checked
+        if not e["pass"]
+    ]
+    if failing:
+        report["failing"] = failing
     _emit(report, args)
     return 0 if all_pass else 1
 

@@ -144,7 +144,8 @@ def parse_dimacs(text: str | bytes) -> Formula:
     Accepted headers: "p cnf n m" and "p wcnf n m [top]".  Clause lines end
     with 0; "c" comment lines are ignored; a line consisting of "%"
     terminates the input.  In the wcnf-with-top variant any clause of
-    weight >= top is a hard clause and is rejected.
+    weight >= top is a hard clause and is rejected.  The clauses before a
+    "%" line must number exactly as the header declares.
     """
     if isinstance(text, bytes):
         text = text.decode("utf-8")
@@ -218,6 +219,10 @@ def parse_dimacs(text: str | bytes) -> Formula:
 
     if not header_seen:
         raise FormulaError("missing DIMACS header")
+    if len(clauses) != declared_clauses:
+        raise FormulaError(
+            f"header declares {declared_clauses} clauses, found {len(clauses)}"
+        )
     return Formula(num_vars=num_vars, clauses=tuple(clauses))
 
 

@@ -1,11 +1,13 @@
 """Sequential assignment algorithms.
 
-decide is the decision rule of the randomized algorithm; run_randomized
-implements the bound-balancing randomized algorithm with the 3/4
-expectation guarantee through it; run_vanzuylen drives the same process
-through the alpha quantity and produces identical traces; run_greedy_sat
-and run_greedy_unsat are the two deterministic baselines it balances.
-Every run_* except run_weight is a pick rule for bookkeep.drive.
+decide is the decision rule of the randomized algorithm, and its only
+copy; run_randomized implements the bound-balancing randomized algorithm
+with the 3/4 expectation guarantee through it, and so do run_weight and
+the decision-tree walk of the oracles.  run_vanzuylen drives the same
+process through the alpha quantity, computed on its own from the kernel's
+sums, and produces identical traces; run_greedy_sat and run_greedy_unsat
+are the two deterministic baselines it balances.  Every run_* except
+run_weight is a pick rule for bookkeep.drive.
 """
 
 from __future__ import annotations
@@ -14,14 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Optional, Sequence
 
-from .bookkeep import (
-    StepQuantities,
-    assign_occurrences,
-    check_order,
-    drive,
-    raise_lemma1,
-    step_deltas,
-)
+from .bookkeep import assign_occurrences, check_order, drive, step_deltas
 from .formula import Assignment, Formula
 
 _MASK64 = (1 << 64) - 1
@@ -72,25 +67,6 @@ def decide(t2: int, f2: int) -> tuple[int, int]:
     if t2 <= 0:
         return 0, 1
     return t2, t2 + f2
-
-
-def choose(
-    q: StepQuantities, draw: Optional[Fraction]
-) -> tuple[bool, Fraction]:
-    """Decide the next variable's value from its bound deltas by decide().
-
-    Deterministic when t2 <= 0 or f2 <= 0 (draw unused, may be None);
-    otherwise true iff draw < t2/(t2+f2).
-    """
-    if q.t2 + q.f2 < 0:
-        raise_lemma1(q.var, q.t2, q.f2)
-    num, den = decide(q.t2, q.f2)
-    prob_true = Fraction(num, den)
-    if den == 1:
-        return num == 1, prob_true
-    if draw is None or not 0 <= draw < 1:
-        raise ValueError("randomized step needs a draw in [0, 1)")
-    return draw < prob_true, prob_true
 
 
 def run_randomized(

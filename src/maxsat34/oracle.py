@@ -3,13 +3,15 @@
 Everything here is brute force on purpose: exhaustive optimum, exact
 decision-tree expectation, and per-step inequality checks with rational
 arithmetic, all independent of the incremental fast paths they audit.
+One walk of the randomized algorithm's decision tree, _expand, serves both
+exact_expectation and check_randomized_lemmas.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from . import greedy
 from .bookkeep import TraceState, apply, drive, new_trace, step_quantities
@@ -108,12 +110,18 @@ def _branches(t2: int, f2: int) -> list[tuple[bool, Fraction]]:
     return [(True, p_true), (False, 1 - p_true)]
 
 
-def exact_expectation(
+def _expand(
     formula: Formula,
-    order: Optional[Sequence[int]] = None,
-    limit: int = EXPECTATION_LIMIT,
-) -> ExpectationReport:
-    """E[w(S_n)] by exact expansion of the algorithm's decision tree."""
+    order: Optional[Sequence[int]],
+    limit: int,
+    visit: Optional[Callable] = None,
+) -> tuple[Fraction, int]:
+    """(E[w(S_n)], node count) by exact expansion of the randomized
+    algorithm's decision tree.  visit, if given, sees every inner node
+    before its children are expanded, as visit(values, q, branches,
+    children): the node's own assignment, its StepQuantities, the
+    (value, probability) pairs of _branches and the child traces, in the
+    same order."""
     n = formula.num_vars
     if n > limit:
         raise LimitError(f"n = {n} exceeds expectation limit {limit}")
@@ -126,14 +134,28 @@ def exact_expectation(
             return Fraction(trace.sat_weight)
         q = step_quantities(trace)
         branches = _branches(q.t2, q.f2)
-        if len(branches) == 1:
-            return expand(apply(trace, branches[0][0]))
-        (_, p_true), (_, p_false) = branches
-        child_true = apply(trace.copy(), True)
-        child_false = apply(trace, False)
-        return p_true * expand(child_true) + p_false * expand(child_false)
+        values = None if visit is None else tuple(trace.values)
+        # one copy per extra branch; the last branch takes the node's trace
+        children = [trace.copy() for _ in branches[1:]] + [trace]
+        for child, (value, _) in zip(children, branches):
+            apply(child, value)
+        if visit is not None:
+            visit(values, q, branches, children)
+        if len(children) == 1:  # forced: no probability factor to apply
+            return expand(trace)
+        return sum(p * expand(child) for child, (_, p) in zip(children, branches))
 
     expectation = expand(new_trace(formula, order))
+    return expectation, nodes
+
+
+def exact_expectation(
+    formula: Formula,
+    order: Optional[Sequence[int]] = None,
+    limit: int = EXPECTATION_LIMIT,
+) -> ExpectationReport:
+    """E[w(S_n)] by exact expansion of the algorithm's decision tree."""
+    expectation, nodes = _expand(formula, order, limit)
     opt, _ = brute_force_opt(formula)
     ratio = Fraction(expectation, opt) if opt > 0 else None
     return ExpectationReport(
@@ -214,41 +236,30 @@ def check_randomized_lemmas(
       * the node expectation of that drop is at most
         max(0, 2 t f / (t + f)) and at most the expected bound increase.
     """
-    n = formula.num_vars
-    if n > limit:
-        raise LimitError(f"n = {n} exceeds expectation limit {limit}")
-    _, x_star = brute_force_opt(formula)
     records: list[CheckRecord] = []
+    x_star: Optional[Assignment] = None
 
     def record(step, var, name, lhs, rhs):
         records.append(
             CheckRecord(step, var, name, Fraction(lhs), Fraction(rhs), lhs <= rhs)
         )
 
-    def walk(trace: TraceState) -> None:
-        if trace.prefix == n:
-            return
-        step = trace.prefix + 1
-        q = step_quantities(trace)
-        v = q.var
-        w_prev = _spliced_weight(formula, trace.values, x_star)
-        branches = _branches(q.t2, q.f2)
-
+    def visit(values, q, branches, children):
+        nonlocal x_star
+        if x_star is None:  # first node: the walk has passed its limit check
+            _, x_star = brute_force_opt(formula)
+        step, v = children[0].prefix, q.var
+        w_prev = _spliced_weight(formula, values, x_star)
         expected_drop = Fraction(0)
         expected_bound = Fraction(0)
-        children = []
-        for value, prob in branches:
-            child = trace.copy() if len(branches) > 1 else trace
-            apply(child, value)
-            w_next = _spliced_weight(formula, child.values, x_star)
-            drop = w_prev - w_next
+        for (value, prob), child in zip(branches, children):
+            drop = w_prev - _spliced_weight(formula, child.values, x_star)
             if value != x_star[v - 1]:
                 # agreeing-setting doubled delta: 2f_i if set true, 2t_i if false
                 bound = q.f2 if value else q.t2
                 record(step, v, "branch claim (Lemma 3 proof)", drop, bound)
             expected_drop += prob * drop
             expected_bound += prob * Fraction(q.t2 if value else q.f2, 2)
-            children.append(child)
 
         rhs3 = (
             Fraction(q.t2 * q.f2, q.t2 + q.f2)
@@ -257,10 +268,8 @@ def check_randomized_lemmas(
         )
         record(step, v, "node bound (Lemma 3)", expected_drop, rhs3)
         record(step, v, "node bound (Lemma 2)", expected_drop, expected_bound)
-        for child in children:
-            walk(child)
 
-    walk(new_trace(formula, order))
+    _expand(formula, order, limit, visit)
     return LemmaReport(
         records=tuple(records),
         overall_pass=all(r.passed for r in records),

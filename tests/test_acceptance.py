@@ -14,7 +14,6 @@ from maxsat34 import (
     build_relaxation,
     check_lp_lemmas,
     check_randomized_lemmas,
-    choose,
     enumerate_expectation,
     exact_expectation,
     lp_value,
@@ -31,7 +30,7 @@ from maxsat34 import (
     step_quantities,
 )
 from maxsat34.bookkeep import apply
-from maxsat34.greedy import splitmix64
+from maxsat34.greedy import decide, splitmix64
 
 THREE_QUARTERS = Fraction(3, 4)
 
@@ -113,26 +112,33 @@ def test_criterion_4_lp_lemmas_every_step(corpus, lp_solutions):
     print(f"ACCEPTANCE 4 (Lemma 4 disjunction + Lemma 5, {checked} checks): PASS")
 
 
-def _replay_with_identity_checks(f, seed):
+def _replay_through_trace(f, run):
+    """Steps a TraceState along the run's recorded values: step_quantities
+    gives the recorded (var, t2, f2) at every step, decide the recorded
+    probability, and each randomized step consumes the next SplitMix64
+    word as its draw."""
     trace = new_trace(f)
-    words = splitmix64(seed)
-    for _ in range(f.num_vars):
+    words = splitmix64(run.seed)
+    for step in run.steps:
         q = step_quantities(trace)
-        assert q.vz_w + q.vz_f - q.vz_wbar == q.t2
-        assert q.vz_wbar + q.vz_fbar - q.vz_w == q.f2
-        assert q.vz_f + q.vz_fbar == q.t2 + q.f2
-        draw = None
-        if q.t2 > 0 and q.f2 > 0:
-            draw = Fraction(next(words), 1 << 64)
-        value, _ = choose(q, draw)
-        apply(trace, value)
+        assert (q.var, q.t2, q.f2) == (step.var, step.t2, step.f2)
+        num, den = decide(q.t2, q.f2)
+        assert step.prob_true == Fraction(num, den)
+        if den == 1:
+            assert step.draw is None and step.value == (num == 1)
+        else:
+            assert step.draw == Fraction(next(words), 1 << 64)
+            assert step.value == (step.draw < step.prob_true)
+        apply(trace, step.value)
+    assert trace.sat_weight == run.weight
 
 
 def test_criterion_5_vanzuylen_equivalence(corpus):
     for f in corpus:
         for seed in range(20):
-            assert run_vanzuylen(f, seed=seed) == run_randomized(f, seed=seed)
-            _replay_with_identity_checks(f, seed)
+            run = run_randomized(f, seed=seed)
+            assert run_vanzuylen(f, seed=seed) == run
+            _replay_through_trace(f, run)
     print("ACCEPTANCE 5 (alpha-rule equivalence, 20 seeds x 500): PASS")
 
 

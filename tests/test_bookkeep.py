@@ -7,8 +7,8 @@ from hypothesis import given, settings, strategies as st
 from maxsat34 import (
     Clause,
     Formula,
+    LemmaViolation,
     OrderError,
-    alpha,
     apply,
     new_trace,
     recompute_sat_unsat,
@@ -18,6 +18,7 @@ from maxsat34 import (
     satisfied_weight,
     step_quantities,
 )
+from maxsat34.bookkeep import drive, step_deltas
 from maxsat34.greedy import splitmix64
 
 from conftest import clause, formula
@@ -90,28 +91,51 @@ def test_apply_rejects_past_end():
         step_quantities(t)
 
 
-def vz_fields(q):
-    return q.vz_w, q.vz_wbar, q.vz_f, q.vz_fbar
+def test_step_deltas_flags_lemma1_violation():
+    # a negative weight is the only way to reach t2 + f2 < 0
+    with pytest.raises(LemmaViolation, match="Lemma 1"):
+        step_deltas(1, [(0, 1, -5)], [False], [2])
+
+
+def alpha_sums(f, order, values):
+    """(W, Wbar, F, Fbar) of the alpha rule at each step of the run that
+    sets the variables to values, read from the kernel's sums: a clause
+    tautological in the variable counts in both F and Fbar."""
+    out = []
+
+    def pick(v, t2, f2, sums):
+        taut, w, wbar, f_, fbar = sums
+        out.append((w, wbar, f_ + taut, fbar + taut))
+        return values[v - 1]
+
+    drive(f, order, pick)
+    return out
+
+
+def assert_alpha_identities(q, sums):
+    w, wbar, f, fbar = sums
+    assert w + f - wbar == q.t2
+    assert wbar + fbar - w == q.f2
+    assert f + fbar == q.t2 + q.f2
 
 
 def test_vz_unit_clause_marker():
     f = formula(1, clause(pos=(1,)))
-    q = step_quantities(new_trace(f))
-    assert vz_fields(q) == (1, 0, 0, 0)
-    assert alpha(q) is None
+    # the alpha denominator F + Fbar is 0
+    assert alpha_sums(f, None, [True]) == [(1, 0, 0, 0)]
 
 
 def test_vz_two_literal_clause():
     f = formula(2, clause(pos=(1, 2)))
-    q = step_quantities(new_trace(f))
-    assert vz_fields(q) == (0, 0, 1, 0)
-    assert alpha(q) == 1
+    w, wbar, f_, fbar = alpha_sums(f, None, [True, True])[0]
+    assert (w, wbar, f_, fbar) == (0, 0, 1, 0)
+    assert Fraction(w + f_ - wbar, f_ + fbar) == 1
 
 
 def test_vz_three_clause(three_clause):
-    q = step_quantities(new_trace(three_clause))
-    assert vz_fields(q) == (1, 2, 2, 0)
-    assert alpha(q) == Fraction(1, 2)
+    w, wbar, f_, fbar = alpha_sums(three_clause, None, [True, True])[0]
+    assert (w, wbar, f_, fbar) == (1, 2, 2, 0)
+    assert Fraction(w + f_ - wbar, f_ + fbar) == Fraction(1, 2)
 
 
 def full_trace_checks(f, order, values_source):
@@ -121,15 +145,13 @@ def full_trace_checks(f, order, values_source):
     assert t.doubled_bound == f.total_weight
     prev_sat = prev_unsat = 0
     words = splitmix64(0)
+    quantities = []
     for _ in range(f.num_vars):
         q = step_quantities(t)
         assert q.t2 + q.f2 >= 0  # Lemma 1
         assert q.t2 == (q.sat_t - t.sat_weight) - (q.unsat_t - t.unsat_weight)
         assert q.f2 == (q.sat_f - t.sat_weight) - (q.unsat_f - t.unsat_weight)
-        # alpha-rule identities
-        assert q.vz_w + q.vz_f - q.vz_wbar == q.t2
-        assert q.vz_wbar + q.vz_fbar - q.vz_w == q.f2
-        assert q.vz_f + q.vz_fbar == q.t2 + q.f2
+        quantities.append(q)
         value = values_source(q, words)
         apply(t, value)
         assert (t.sat_weight, t.unsat_weight) == recompute_sat_unsat(
@@ -141,6 +163,8 @@ def full_trace_checks(f, order, values_source):
     assert t.sat_weight == final
     assert t.sat_weight == f.total_weight - t.unsat_weight
     assert t.doubled_bound == 2 * final  # 2*B_n = 2*w(S_n)
+    for q, sums in zip(quantities, alpha_sums(f, order, t.values), strict=True):
+        assert_alpha_identities(q, sums)
 
 
 def random_value(q, words):
@@ -208,13 +232,12 @@ def test_kernel_matches_rescan_on_edge_cases(case, seed):
     check_compiled(f)
     run = run_randomized(f, order, seed)
     t = new_trace(f, order)
-    for step in run.steps:
+    sums = alpha_sums(f, order, run.assignment)
+    for step, step_sums in zip(run.steps, sums, strict=True):
         q = step_quantities(t)
         assert (q.var, q.t2, q.f2) == (step.var, step.t2, step.f2)
         # alpha-rule identities, tautological clauses included
-        assert q.vz_w + q.vz_f - q.vz_wbar == q.t2
-        assert q.vz_wbar + q.vz_fbar - q.vz_w == q.f2
-        assert q.vz_f + q.vz_fbar == q.t2 + q.f2
+        assert_alpha_identities(q, step_sums)
         for value, expected in (
             (True, (q.sat_t, q.unsat_t)),
             (False, (q.sat_f, q.unsat_f)),

@@ -173,6 +173,21 @@ def test_verify_skips_oversized_instance(capsys, tmp_path, unit_file):
     assert "failing" not in report
 
 
+def test_verify_that_checked_nothing_fails(capsys, tmp_path):
+    big = tmp_path / "n16.wcnf"
+    big.write_text("p wcnf 16 1\n1 16 0\n")
+    code, out, _ = run(capsys, "verify", "--format", "structured", str(big))
+    assert code == 1
+    report = json.loads(out)
+    assert (report["count"], report["skipped"], report["all_pass"]) == (1, 1, False)
+    code, out, _ = run(
+        capsys, "verify", "--corpus", "count=0", "--format", "structured"
+    )
+    assert code == 1
+    report = json.loads(out)
+    assert (report["count"], report["all_pass"]) == (0, False)
+
+
 def test_verify_needs_input(capsys):
     code, _, err = run(capsys, "verify")
     assert code == 2

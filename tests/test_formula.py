@@ -53,6 +53,7 @@ def test_parse_soft_clause_under_top_ok():
         ("p wcnf 1 1\n-2 1 0\n", "negative weight"),
         ("1 0\n", "before header"),
         ("c nothing here\n", "missing DIMACS header"),
+        ("p cnf 2 5\n1 0\n", "header declares 5 clauses, found 1"),
     ],
 )
 def test_parse_errors(text, match):

@@ -3,8 +3,10 @@
 Pins the exact traces (variable, doubled deltas, value, probability of
 true, SplitMix64 draw) of every sequential algorithm on small edge-case
 formulas, so that a refactor of the kernel or of the run_* loops cannot
-change a single decision unnoticed.  The vectors live in
-golden_traces.json next to this file.  Re-record them with
+change a single decision unnoticed.  It also pins the exact_expectation
+report and every check_randomized_lemmas record per (formula, order), so
+that the decision-tree walk of the oracles is held to the same bytes.
+The vectors live in golden_traces.json next to this file.  Re-record them with
 
     PYTHONPATH=src python tests/test_golden.py
 
@@ -17,6 +19,8 @@ from fractions import Fraction
 from pathlib import Path
 
 from maxsat34 import (
+    check_randomized_lemmas,
+    exact_expectation,
     parse_dimacs,
     random_instance,
     run_greedy_sat,
@@ -120,6 +124,31 @@ def compute_records(orders_by_case):
     return records
 
 
+def compute_oracle_records(orders_by_case):
+    """The expectation report and the Lemma 2/3 check records of the
+    decision-tree oracles for each (case, order)."""
+    records = []
+    for case, text in CASES.items():
+        f = parse_dimacs(text)
+        for order_name, order in orders_by_case[case].items():
+            exp = exact_expectation(f, order)
+            lemmas = check_randomized_lemmas(f, order)
+            records.append(
+                {
+                    "case": case,
+                    "order": order_name,
+                    "expectation": str(exp.expectation),
+                    "opt": exp.opt,
+                    "node_count": exp.node_count,
+                    "checks": [
+                        [r.step, r.var, r.name, str(r.lhs), str(r.rhs), r.passed]
+                        for r in lemmas.records
+                    ],
+                }
+            )
+    return records
+
+
 def load_golden():
     return json.loads(GOLDEN.read_text())
 
@@ -131,6 +160,14 @@ def test_golden_traces_replay_exactly():
     assert len(records) == len(golden["records"])
     for got, want in zip(records, golden["records"]):
         assert got == want, (want["case"], want["order"], want["alg"], want["seed"])
+
+
+def test_golden_oracles_replay_exactly():
+    golden = load_golden()
+    records = compute_oracle_records(golden["orders"])
+    assert len(records) == len(golden["oracles"])
+    for got, want in zip(records, golden["oracles"]):
+        assert got == want, (want["case"], want["order"])
 
 
 def test_golden_vectors_cover_edge_cases():
@@ -156,8 +193,13 @@ if __name__ == "__main__":
         for salt, (case, text) in enumerate(CASES.items())
     }
     records = compute_records(orders)
+    oracles = compute_oracle_records(orders)
     head = json.dumps({"cases": CASES, "orders": orders}, indent=1)
     # one record per line keeps the file small and its diffs readable
     body = ",\n".join(json.dumps(r) for r in records)
-    GOLDEN.write_text(f'{head[:-2]},\n "records": [\n{body}\n]\n}}\n')
-    print(f"wrote {len(records)} records to {GOLDEN}")
+    oracle_body = ",\n".join(json.dumps(r) for r in oracles)
+    GOLDEN.write_text(
+        f'{head[:-2]},\n "records": [\n{body}\n],\n'
+        f' "oracles": [\n{oracle_body}\n]\n}}\n'
+    )
+    print(f"wrote {len(records)} + {len(oracles)} records to {GOLDEN}")

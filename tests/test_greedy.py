@@ -1,10 +1,7 @@
 from fractions import Fraction
 
-import pytest
-
 from maxsat34 import (
-    LemmaViolation,
-    choose,
+    greedy,
     run_greedy_sat,
     run_greedy_unsat,
     run_randomized,
@@ -12,43 +9,30 @@ from maxsat34 import (
     run_weight,
     satisfied_weight,
 )
-from maxsat34.bookkeep import StepQuantities
+from maxsat34.greedy import decide
 
 from conftest import clause, formula
 
 
-def quantities(t2, f2):
-    # only the decision-relevant fields matter for choose()
-    return StepQuantities(
-        var=1, t2=t2, f2=f2, sat_t=0, sat_f=0, unsat_t=0, unsat_f=0,
-        vz_w=0, vz_wbar=0, vz_f=0, vz_fbar=0,
+def test_decide_deterministic_branches():
+    assert decide(1, -1) == (1, 1)  # forced true
+    assert decide(-1, 1) == (0, 1)  # forced false
+    assert decide(0, 0) == (1, 1)  # the t2 = f2 = 0 tie goes to true
+
+
+def test_decide_randomized(three_clause, monkeypatch):
+    assert decide(1, 1) == (1, 2)
+    assert decide(3, 5) == (3, 8)
+    # a draw equal to P[true] sets the variable false: the test is strict.
+    # Every word is 2^63, so x1 (P[true] = 1/2) draws exactly 1/2.
+    monkeypatch.setattr(
+        greedy, "splitmix64", lambda seed: iter(lambda: 1 << 63, None)
     )
-
-
-def test_choose_deterministic_branches():
-    assert choose(quantities(1, -1), None) == (True, Fraction(1))
-    assert choose(quantities(-1, 1), None) == (False, Fraction(0))
-    assert choose(quantities(0, 0), None) == (True, Fraction(1))
-
-
-def test_choose_randomized():
-    value, p = choose(quantities(1, 1), Fraction(1, 3))
-    assert (value, p) == (True, Fraction(1, 2))
-    value, p = choose(quantities(1, 1), Fraction(2, 3))
-    assert (value, p) == (False, Fraction(1, 2))
-    # boundary: draw == p means false (strict comparison)
-    value, _ = choose(quantities(1, 1), Fraction(1, 2))
-    assert value is False
-
-
-def test_choose_flags_lemma1_violation():
-    with pytest.raises(LemmaViolation, match="Lemma 1"):
-        choose(quantities(-1, -1), None)
-
-
-def test_choose_requires_draw_when_randomized():
-    with pytest.raises(ValueError):
-        choose(quantities(1, 1), None)
+    r = run_randomized(three_clause)
+    first = r.steps[0]
+    assert first.draw == first.prob_true == Fraction(1, 2)
+    assert first.value is False
+    assert run_weight(three_clause) == r.weight
 
 
 def test_run_randomized_unit_clause():

@@ -5,6 +5,7 @@ import pytest
 from maxsat34 import (
     Formula,
     LimitError,
+    TraceState,
     brute_force_opt,
     check_lp_lemmas,
     check_randomized_lemmas,
@@ -123,6 +124,32 @@ def test_randomized_lemmas_three_clause(three_clause):
 def test_randomized_lemmas_corpus(small_corpus):
     for f in small_corpus[:30]:
         assert check_randomized_lemmas(f).overall_pass
+
+
+def test_walks_copy_once_per_randomized_node(small_corpus, monkeypatch):
+    """Both oracles walk the decision tree with one TraceState copy per
+    randomized node: the last branch takes the node's own trace."""
+    copies = 0
+    real = TraceState.copy
+
+    def counting_copy(self):
+        nonlocal copies
+        copies += 1
+        return real(self)
+
+    monkeypatch.setattr(TraceState, "copy", counting_copy)
+    for f in small_corpus:
+        copies = 0
+        exact_expectation(f)
+        by_expectation = copies
+        copies = 0
+        report = check_randomized_lemmas(f)
+        # a node randomizes iff t2 > 0 and f2 > 0, i.e. iff its Lemma 3
+        # bound 2*t*f/(t+f) is positive
+        randomized = sum(
+            r.name == "node bound (Lemma 3)" and r.rhs > 0 for r in report.records
+        )
+        assert (by_expectation, copies) == (randomized, randomized)
 
 
 def test_lp_lemmas_unit():

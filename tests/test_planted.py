@@ -21,11 +21,13 @@ from maxsat34 import (
     bookkeep,
     build_relaxation,
     check_randomized_lemmas,
+    enumerate_expectation,
     exact_expectation,
     greedy,
     lp,
     lp_value,
     new_trace,
+    oracle,
     recompute_sat_unsat,
     run_randomized,
     run_vanzuylen,
@@ -81,6 +83,15 @@ def randomized_lemmas(corpus):
     return all(check_randomized_lemmas(f).overall_pass for f in corpus)
 
 
+def expectation_enumeration(corpus):
+    """Criterion 7: the tree expectation equals path enumeration."""
+    return all(
+        exact_expectation(f).expectation == enumerate_expectation(f)
+        for f in corpus
+        if f.num_vars <= 6
+    )
+
+
 def kernel_matches_rescan(corpus):
     """The step totals of both settings agree with a full rescan."""
     for f in corpus:
@@ -117,6 +128,7 @@ def lp_sanity(corpus):
 GATES = {
     "alpha_equivalence": alpha_equivalence,
     "randomized_lemmas": randomized_lemmas,
+    "expectation_enumeration": expectation_enumeration,
     "kernel_matches_rescan": kernel_matches_rescan,
     "golden_replay": golden_replay,
     "lp_sanity": lp_sanity,
@@ -185,6 +197,15 @@ def tie_false(monkeypatch):
     )
 
 
+def shared_child_trace(monkeypatch):
+    plant(
+        monkeypatch,
+        oracle._expand,
+        "children = [trace.copy() for _ in branches[1:]] + [trace]",
+        "children = [trace for _ in branches]",
+    )
+
+
 # fault, the gates that must fail under it
 PLANTED = [
     (half_probability, ("alpha_equivalence", "randomized_lemmas")),
@@ -193,6 +214,7 @@ PLANTED = [
     (rounding_tie_false, ("golden_replay",)),
     (perturbed_y_star, ("lp_sanity",)),
     (tie_false, ("golden_replay",)),
+    (shared_child_trace, ("randomized_lemmas", "expectation_enumeration")),
 ]
 
 
