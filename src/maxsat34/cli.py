@@ -161,9 +161,13 @@ def cmd_verify(args) -> int:
     for source, f in zip(sources, instances):
         entry = {"instance": source, "n": f.num_vars, "m": f.num_clauses}
         try:
-            rand_report = oracle.check_randomized_lemmas(f)
-            lp_report = oracle.check_lp_lemmas(f)
-            exp = oracle.exact_expectation(f)
+            # one exhaustive optimum serves all three checks; an instance
+            # too large for the tree walks is skipped before it is scanned
+            oracle.check_expectation_limit(f)
+            optimum = oracle.brute_force_opt(f)
+            rand_report = oracle.check_randomized_lemmas(f, optimum=optimum)
+            lp_report = oracle.check_lp_lemmas(f, optimum=optimum)
+            exp = oracle.exact_expectation(f, optimum=optimum)
             entry["lemmas_randomized"] = rand_report.overall_pass
             entry["lemmas_lp"] = lp_report.overall_pass
             entry["expectation"] = _frac(exp.expectation)

@@ -145,7 +145,8 @@ def parse_dimacs(text: str | bytes) -> Formula:
     with 0; "c" comment lines are ignored; a line consisting of "%"
     terminates the input.  In the wcnf-with-top variant any clause of
     weight >= top is a hard clause and is rejected.  The clauses before a
-    "%" line must number exactly as the header declares.
+    "%" line must number exactly as the header declares.  New-style (2022)
+    WCNF, without a p line, is rejected with a message that names it.
     """
     if isinstance(text, bytes):
         text = text.decode("utf-8")
@@ -188,7 +189,11 @@ def parse_dimacs(text: str | bytes) -> Formula:
             header_seen = True
             continue
         if not header_seen:
-            raise FormulaError(f"line {lineno}: clause before header")
+            raise FormulaError(
+                f"line {lineno}: clause before header; new-style (2022)"
+                " WCNF, with no p line and h for hard clauses, is not"
+                " supported"
+            )
 
         tokens = line.split()
         if weighted:
@@ -230,6 +235,11 @@ def _parse_int(token: str, lineno: int) -> int:
     try:
         return int(token)
     except ValueError:
+        if token == "h":
+            raise FormulaError(
+                f"line {lineno}: h hard-clause line; new-style (2022) WCNF"
+                " is not supported"
+            )
         raise FormulaError(f"line {lineno}: expected integer, got {token!r}")
 
 

@@ -3,6 +3,8 @@
 Everything here is brute force on purpose: exhaustive optimum, exact
 decision-tree expectation, and per-step inequality checks with rational
 arithmetic, all independent of the incremental fast paths they audit.
+The optimum is a Gray-code enumeration over its own occurrence lists,
+built from Clause.pos and Clause.neg, independent of Formula.compiled.
 One walk of the randomized algorithm's decision tree, _expand, serves both
 exact_expectation and check_randomized_lemmas.
 """
@@ -86,18 +88,60 @@ def brute_force_opt(
     formula: Formula, limit: int = BRUTE_FORCE_LIMIT
 ) -> tuple[int, Assignment]:
     """Exact optimum over all 2^n assignments.  Ties break to the lowest
-    binary encoding with x_1 least significant and false < true."""
+    binary encoding with x_1 least significant and false < true.
+
+    Gray-code enumeration over its own occurrence lists, independent of
+    Formula.compiled: step i flips x_{b+1} with b = ctz(i), and only the
+    clauses holding that variable update their count of true literals."""
     n = formula.num_vars
     if n > limit:
         raise LimitError(f"n = {n} exceeds brute-force limit {limit}")
-    best_weight = -1
-    best: Assignment = ()
-    for code in range(1 << n):
-        values = tuple(bool(code >> i & 1) for i in range(n))
-        w = satisfied_weight(formula, values)
-        if w > best_weight:
-            best_weight, best = w, values
-    return best_weight, best
+    # pos[b] / neg[b]: (clause, weight) of each positive / negative literal
+    # of x_{b+1}; a tautological clause is in both, so its count stays >= 1
+    pos: list[list[tuple[int, int]]] = [[] for _ in range(n)]
+    neg: list[list[tuple[int, int]]] = [[] for _ in range(n)]
+    true_count = []
+    w = 0  # satisfied weight of the current code, starting all false
+    for j, c in enumerate(formula.clauses):
+        for v in c.pos:
+            pos[v - 1].append((j, c.weight))
+        for v in c.neg:
+            neg[v - 1].append((j, c.weight))
+        true_count.append(len(c.neg))
+        if c.neg:
+            w += c.weight
+    code = best_code = 0
+    best_w = w
+    for i in range(1, 1 << n):
+        b = (i & -i).bit_length() - 1
+        code ^= 1 << b
+        if code >> b & 1:
+            rising, falling = pos[b], neg[b]
+        else:
+            rising, falling = neg[b], pos[b]
+        for j, cw in rising:
+            true_count[j] += 1
+            if true_count[j] == 1:
+                w += cw
+        for j, cw in falling:
+            true_count[j] -= 1
+            if true_count[j] == 0:
+                w -= cw
+        # Gray order is not code order: a tie goes to the lower code
+        if w > best_w or (w == best_w and code < best_code):
+            best_w, best_code = w, code
+    return best_w, tuple(bool(best_code >> i & 1) for i in range(n))
+
+
+def check_expectation_limit(
+    formula: Formula, limit: int = EXPECTATION_LIMIT
+) -> None:
+    """Raises LimitError when formula is too large for the decision-tree
+    walks of exact_expectation and check_randomized_lemmas."""
+    if formula.num_vars > limit:
+        raise LimitError(
+            f"n = {formula.num_vars} exceeds expectation limit {limit}"
+        )
 
 
 def _branches(t2: int, f2: int) -> list[tuple[bool, Fraction]]:
@@ -123,8 +167,7 @@ def _expand(
     (value, probability) pairs of _branches and the child traces, in the
     same order."""
     n = formula.num_vars
-    if n > limit:
-        raise LimitError(f"n = {n} exceeds expectation limit {limit}")
+    check_expectation_limit(formula, limit)
     nodes = 0
 
     def expand(trace: TraceState) -> Fraction:
@@ -153,10 +196,13 @@ def exact_expectation(
     formula: Formula,
     order: Optional[Sequence[int]] = None,
     limit: int = EXPECTATION_LIMIT,
+    optimum: Optional[tuple[int, Assignment]] = None,
 ) -> ExpectationReport:
-    """E[w(S_n)] by exact expansion of the algorithm's decision tree."""
+    """E[w(S_n)] by exact expansion of the algorithm's decision tree.
+    optimum, if given, is brute_force_opt(formula), computed once by the
+    caller."""
     expectation, nodes = _expand(formula, order, limit)
-    opt, _ = brute_force_opt(formula)
+    opt, _ = brute_force_opt(formula) if optimum is None else optimum
     ratio = Fraction(expectation, opt) if opt > 0 else None
     return ExpectationReport(
         expectation=expectation, opt=opt, ratio=ratio, node_count=nodes
@@ -226,6 +272,7 @@ def check_randomized_lemmas(
     formula: Formula,
     order: Optional[Sequence[int]] = None,
     limit: int = EXPECTATION_LIMIT,
+    optimum: Optional[tuple[int, Assignment]] = None,
 ) -> LemmaReport:
     """Walks every positive-probability node of the decision tree and
     verifies, exactly:
@@ -235,9 +282,11 @@ def check_randomized_lemmas(
         of the agreeing setting;
       * the node expectation of that drop is at most
         max(0, 2 t f / (t + f)) and at most the expected bound increase.
+
+    The fixed optimum is optimum's witness if given, else brute_force_opt's.
     """
     records: list[CheckRecord] = []
-    x_star: Optional[Assignment] = None
+    x_star = None if optimum is None else optimum[1]
 
     def record(step, var, name, lhs, rhs):
         records.append(
@@ -281,10 +330,12 @@ def check_lp_lemmas(
     order: Optional[Sequence[int]] = None,
     sol: Optional[LpSolution] = None,
     brute_limit: int = BRUTE_FORCE_LIMIT,
+    optimum: Optional[tuple[int, Assignment]] = None,
 ) -> LemmaReport:
     """Runs the LP rounding trace and records, per step, both proof claims,
     the rounding disjunction, and the per-step bound inequality; then the
-    final chain w(S_n) >= OPT_LP/2 + W/4 >= 3/4 OPT."""
+    final chain w(S_n) >= OPT_LP/2 + W/4 >= 3/4 OPT.  The last link is
+    checked when optimum is given or n <= brute_limit."""
     if sol is None:
         sol = solve_lp(build_relaxation(formula))
     records: list[CheckRecord] = []
@@ -318,8 +369,10 @@ def check_lp_lemmas(
     records.append(
         CheckRecord(0, 0, "final w >= OPT_LP/2 + W/4", half_bound, w, half_bound <= w)
     )
-    if formula.num_vars <= brute_limit:
-        opt, _ = brute_force_opt(formula, brute_limit)
+    if optimum is None and formula.num_vars <= brute_limit:
+        optimum = brute_force_opt(formula, brute_limit)
+    if optimum is not None:
+        opt, _ = optimum
         records.append(
             CheckRecord(
                 0,

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from maxsat34 import Clause, Formula, random_instance
+from maxsat34 import Clause, Formula, random_instance, satisfied_weight
 
 CORPUS_SEED = 20260823
 
@@ -27,6 +27,18 @@ def corpus():
 @pytest.fixture(scope="session")
 def small_corpus():
     return make_corpus(60)
+
+
+def scan_optimum(f):
+    """(OPT, witness) by the plainest scan: max of satisfied_weight over
+    all codes in code order, x_1 least significant.  max keeps the first
+    maximum, so a tie goes to the lowest code."""
+    n = f.num_vars
+    witness = max(
+        (tuple(bool(code >> i & 1) for i in range(n)) for code in range(1 << n)),
+        key=lambda values: satisfied_weight(f, values),
+    )
+    return satisfied_weight(f, witness), witness
 
 
 def clause(pos=(), neg=(), weight=1):

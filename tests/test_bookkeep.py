@@ -10,6 +10,7 @@ from maxsat34 import (
     LemmaViolation,
     OrderError,
     apply,
+    brute_force_opt,
     new_trace,
     recompute_sat_unsat,
     run_randomized,
@@ -21,7 +22,7 @@ from maxsat34 import (
 from maxsat34.bookkeep import drive, step_deltas
 from maxsat34.greedy import splitmix64
 
-from conftest import clause, formula
+from conftest import clause, formula, scan_optimum
 
 
 def test_new_trace_initial_state():
@@ -250,3 +251,12 @@ def test_kernel_matches_rescan_on_edge_cases(case, seed):
     assert t.sat_weight == run.weight
     assert run_weight(f, order, seed) == run.weight
     assert run_vanzuylen(f, order, seed) == run
+
+
+@settings(max_examples=300, deadline=None)
+@given(edge_case_formulas())
+def test_brute_force_opt_matches_scan_on_edge_cases(case):
+    f, _ = case
+    opt, witness = brute_force_opt(f)
+    assert (opt, witness) == scan_optimum(f)
+    assert satisfied_weight(f, witness) == opt

@@ -173,6 +173,29 @@ def test_verify_skips_oversized_instance(capsys, tmp_path, unit_file):
     assert "failing" not in report
 
 
+def test_verify_scans_optimum_once_per_instance(
+    capsys, tmp_path, unit_file, monkeypatch
+):
+    scanned = []
+    real = maxsat34.oracle.brute_force_opt
+
+    def counting(f, *args, **kwargs):
+        scanned.append(f.num_vars)
+        return real(f, *args, **kwargs)
+
+    monkeypatch.setattr(maxsat34.oracle, "brute_force_opt", counting)
+    code, _, _ = run(capsys, "verify", "--corpus", "n=5,m=8,count=6,seed=1")
+    assert code == 0
+    assert len(scanned) == 6
+    # an instance over the expectation limit is skipped before any scan
+    big = tmp_path / "n16.wcnf"
+    big.write_text("p wcnf 16 1\n1 16 0\n")
+    scanned.clear()
+    code, _, _ = run(capsys, "verify", str(big), unit_file)
+    assert code == 0
+    assert scanned == [1]
+
+
 def test_verify_that_checked_nothing_fails(capsys, tmp_path):
     big = tmp_path / "n16.wcnf"
     big.write_text("p wcnf 16 1\n1 16 0\n")

@@ -12,6 +12,8 @@ from maxsat34 import (
 
 from conftest import clause, formula
 
+NEW_STYLE = r"new-style \(2022\) WCNF.*is not supported"
+
 
 def test_parse_plain_cnf():
     f = parse_dimacs("p cnf 2 2\n1 2 0\n-1 0\n")
@@ -54,6 +56,11 @@ def test_parse_soft_clause_under_top_ok():
         ("1 0\n", "before header"),
         ("c nothing here\n", "missing DIMACS header"),
         ("p cnf 2 5\n1 0\n", "header declares 5 clauses, found 1"),
+        # 2022-style WCNF: no p line, h marks a hard clause
+        ("c new style\nh 1 2 0\n3 -1 0\n", NEW_STYLE),
+        ("3 -1 0\nh 1 2 0\n", NEW_STYLE),
+        ("1 0\n", NEW_STYLE),
+        ("p wcnf 2 2\nh 1 2 0\n3 -1 0\n", NEW_STYLE),
     ],
 )
 def test_parse_errors(text, match):

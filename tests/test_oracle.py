@@ -152,6 +152,17 @@ def test_walks_copy_once_per_randomized_node(small_corpus, monkeypatch):
         assert (by_expectation, copies) == (randomized, randomized)
 
 
+def test_given_optimum_matches_own_scan(small_corpus):
+    """The optimum argument is what each oracle finds by itself."""
+    for f in small_corpus[:8]:
+        optimum = brute_force_opt(f)
+        assert exact_expectation(f, optimum=optimum) == exact_expectation(f)
+        assert check_randomized_lemmas(f, optimum=optimum) == (
+            check_randomized_lemmas(f)
+        )
+        assert check_lp_lemmas(f, optimum=optimum) == check_lp_lemmas(f)
+
+
 def test_lp_lemmas_unit():
     f = formula(1, clause(pos=(1,)))
     rep = check_lp_lemmas(f)

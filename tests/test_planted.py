@@ -35,6 +35,7 @@ from maxsat34 import (
     step_quantities,
 )
 
+from conftest import scan_optimum
 from test_golden import compute_records, load_golden
 
 SEEDS = range(3)
@@ -125,6 +126,11 @@ def lp_sanity(corpus):
     return True
 
 
+def opt_matches_scan(corpus):
+    """brute_force_opt equals the code-order scan, witness included."""
+    return all(oracle.brute_force_opt(f) == scan_optimum(f) for f in corpus)
+
+
 GATES = {
     "alpha_equivalence": alpha_equivalence,
     "randomized_lemmas": randomized_lemmas,
@@ -132,6 +138,7 @@ GATES = {
     "kernel_matches_rescan": kernel_matches_rescan,
     "golden_replay": golden_replay,
     "lp_sanity": lp_sanity,
+    "opt_matches_scan": opt_matches_scan,
 }
 
 
@@ -206,6 +213,24 @@ def shared_child_trace(monkeypatch):
     )
 
 
+def opt_later_code_wins_tie(monkeypatch):
+    plant(
+        monkeypatch,
+        oracle.brute_force_opt,
+        "code < best_code",
+        "code > best_code",
+    )
+
+
+def opt_keeps_falsified_weight(monkeypatch):
+    plant(
+        monkeypatch,
+        oracle.brute_force_opt,
+        "w -= cw",
+        "pass",
+    )
+
+
 # fault, the gates that must fail under it
 PLANTED = [
     (half_probability, ("alpha_equivalence", "randomized_lemmas")),
@@ -215,10 +240,21 @@ PLANTED = [
     (perturbed_y_star, ("lp_sanity",)),
     (tie_false, ("golden_replay",)),
     (shared_child_trace, ("randomized_lemmas", "expectation_enumeration")),
+    (opt_later_code_wins_tie, ("opt_matches_scan",)),
+    (opt_keeps_falsified_weight, ("opt_matches_scan",)),
 ]
 
 
 def test_gates_pass_without_faults(small_corpus):
+    assert set(GATES) == {
+        "alpha_equivalence",
+        "randomized_lemmas",
+        "expectation_enumeration",
+        "kernel_matches_rescan",
+        "golden_replay",
+        "lp_sanity",
+        "opt_matches_scan",
+    }
     for name, gate in GATES.items():
         assert gate(small_corpus), name
 
