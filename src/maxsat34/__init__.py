@@ -40,7 +40,9 @@ from .greedy import (
 from .lp import (
     LpModel,
     LpSolution,
+    SimplexError,
     build_relaxation,
+    check_certificate,
     lp_value,
     run_lp_rounding,
     solve_lp,

@@ -1,8 +1,18 @@
 import random
+from fractions import Fraction
 
 import pytest
 
-from maxsat34 import Clause, Formula, random_instance, satisfied_weight
+from maxsat34 import (
+    Clause,
+    Formula,
+    build_relaxation,
+    lp_value,
+    random_instance,
+    run_lp_rounding,
+    satisfied_weight,
+    solve_lp,
+)
 
 CORPUS_SEED = 20260823
 
@@ -39,6 +49,32 @@ def scan_optimum(f):
         key=lambda values: satisfied_weight(f, values),
     )
     return satisfied_weight(f, witness), witness
+
+
+def rounding_matches_rescan(f, order=None):
+    """True when every step of run_lp_rounding reports lp_prev, lp_t and
+    lp_f equal to lp_value of the explicit y vectors (the values set so
+    far, y* for the rest), and its last LP value is the satisfied weight
+    of its assignment."""
+    sol = solve_lp(build_relaxation(f))
+    y = list(sol.y_star)
+    last = [lp_value(f, y)]
+    mismatches = []
+
+    def on_step(info):
+        v = info["var"]
+        lp_prev = lp_value(f, y)
+        y[v - 1] = Fraction(1)
+        lp_t = lp_value(f, y)
+        y[v - 1] = Fraction(0)
+        lp_f = lp_value(f, y)
+        if (info["lp_prev"], info["lp_t"], info["lp_f"]) != (lp_prev, lp_t, lp_f):
+            mismatches.append(v)
+        y[v - 1] = Fraction(info["value"])
+        last[0] = info["lp_t"] if info["value"] else info["lp_f"]
+
+    r = run_lp_rounding(f, order, sol, on_step=on_step)
+    return not mismatches and last[0] == satisfied_weight(f, r.assignment)
 
 
 def clause(pos=(), neg=(), weight=1):

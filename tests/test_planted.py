@@ -18,6 +18,7 @@ import pytest
 
 from maxsat34 import (
     LemmaViolation,
+    SimplexError,
     bookkeep,
     build_relaxation,
     check_randomized_lemmas,
@@ -35,11 +36,10 @@ from maxsat34 import (
     step_quantities,
 )
 
-from conftest import scan_optimum
+from conftest import rounding_matches_rescan, scan_optimum
 from test_golden import compute_records, load_golden
 
 SEEDS = range(3)
-LP_INSTANCES = 15  # exact simplex solves are the slow part of the LP gates
 
 
 def plant(monkeypatch, func, old, new):
@@ -60,10 +60,11 @@ def plant(monkeypatch, func, old, new):
 
 
 def holds(check):
-    """True when check() passes; a LemmaViolation counts as a failure."""
+    """True when check() passes; a LemmaViolation or a SimplexError counts
+    as a failure."""
     try:
         return check()
-    except LemmaViolation:
+    except (LemmaViolation, SimplexError):
         return False
 
 
@@ -119,11 +120,24 @@ def golden_replay(_corpus):
 
 def lp_sanity(corpus):
     """Criterion 8: lp_value(y*) equals the LP objective."""
-    for f in corpus[:LP_INSTANCES]:
+    for f in corpus:
         sol = lp.solve_lp(build_relaxation(f))
         if lp_value(f, sol.y_star) != sol.objective:
             return False
     return True
+
+
+def lp_certificate(corpus):
+    """The exact optimality certificate holds for every solve."""
+    for f in corpus:
+        model = build_relaxation(f)
+        lp.check_certificate(model, lp.solve_lp(model))
+    return True
+
+
+def lp_rounding_matches_rescan(corpus):
+    """Every step of the incremental LP rounding equals lp_value rescans."""
+    return all(rounding_matches_rescan(f) for f in corpus)
 
 
 def opt_matches_scan(corpus):
@@ -138,6 +152,8 @@ GATES = {
     "kernel_matches_rescan": kernel_matches_rescan,
     "golden_replay": golden_replay,
     "lp_sanity": lp_sanity,
+    "lp_certificate": lp_certificate,
+    "lp_rounding_matches_rescan": lp_rounding_matches_rescan,
     "opt_matches_scan": opt_matches_scan,
 }
 
@@ -195,6 +211,39 @@ def perturbed_y_star(monkeypatch):
     monkeypatch.setattr(lp, "solve_lp", solve)
 
 
+def perturbed_dual(monkeypatch):
+    real = lp.solve_lp
+
+    def solve(model):
+        sol = real(model)
+        duals = sol.duals[:-1] + (sol.duals[-1] + Fraction(1, 3),)
+        return lp.LpSolution(sol.y_star, sol.objective, duals)
+
+    monkeypatch.setattr(lp, "solve_lp", solve)
+
+
+def stale_denominator(monkeypatch):
+    """Once the denominator has left 1, every pivot hands back the one it
+    was given: later pivots divide by a stale d, and floor division
+    truncates without an error."""
+    real = lp._pivot
+
+    def pivot(tab, obj, basis, r, col, d):
+        new = real(tab, obj, basis, r, col, d)
+        return new if d == 1 else d
+
+    monkeypatch.setattr(lp, "_pivot", pivot)
+
+
+def skipped_coverage_update(monkeypatch):
+    plant(
+        monkeypatch,
+        lp.run_lp_rounding,
+        "coverage[j] += sign * moved",
+        "pass",
+    )
+
+
 def tie_false(monkeypatch):
     real = greedy.decide
     monkeypatch.setattr(
@@ -237,7 +286,10 @@ PLANTED = [
     (last_open_off_by_one, ("kernel_matches_rescan",)),
     (swapped_gains, ("golden_replay",)),
     (rounding_tie_false, ("golden_replay",)),
-    (perturbed_y_star, ("lp_sanity",)),
+    (perturbed_y_star, ("lp_sanity", "lp_certificate")),
+    (perturbed_dual, ("lp_certificate",)),
+    (stale_denominator, ("lp_certificate",)),
+    (skipped_coverage_update, ("lp_rounding_matches_rescan", "golden_replay")),
     (tie_false, ("golden_replay",)),
     (shared_child_trace, ("randomized_lemmas", "expectation_enumeration")),
     (opt_later_code_wins_tie, ("opt_matches_scan",)),
@@ -253,6 +305,8 @@ def test_gates_pass_without_faults(small_corpus):
         "kernel_matches_rescan",
         "golden_replay",
         "lp_sanity",
+        "lp_certificate",
+        "lp_rounding_matches_rescan",
         "opt_matches_scan",
     }
     for name, gate in GATES.items():
