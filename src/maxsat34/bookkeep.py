@@ -1,8 +1,9 @@
 """Incremental partial-assignment state.
 
-Tracks the satisfied weight, the unsatisfied weight, and the doubled
-midpoint bound 2*B_i = SAT_i + (W - UNSAT_i) along a sequential assignment.
-Everything is kept doubled so all quantities stay exact integers.
+Tracks, along a sequential assignment, the satisfied weight and, per
+clause, whether it is satisfied and how many of its variables are open.
+Decisions need only t_i and f_i, the changes of the midpoint bound B_i,
+kept doubled so all quantities stay exact integers.
 step_deltas is the counting kernel of every step: it holds the only t2/f2
 derivation and the only Lemma 1 check, and returns the sums (taut, W, Wbar,
 F, Fbar) from which the alpha rule and the greedy baselines decide.  drive
@@ -29,20 +30,12 @@ class LemmaViolation(RuntimeError):
 
 @dataclass(frozen=True)
 class StepQuantities:
-    """Exact decision data for the next variable in the order.
-
-    t2/f2 are the doubled bound changes 2*t_i and 2*f_i.  sat_t, unsat_t
-    (resp. _f) are the absolute SAT/UNSAT totals after setting the variable
-    true (resp. false).
-    """
+    """Exact decision data for the next variable in the order: t2/f2 are
+    the doubled bound changes 2*t_i and 2*f_i."""
 
     var: int
     t2: int
     f2: int
-    sat_t: int
-    sat_f: int
-    unsat_t: int
-    unsat_f: int
 
 
 def check_order(n: int, order: Optional[Sequence[int]]) -> tuple[int, ...]:
@@ -63,7 +56,6 @@ class TraceState:
         "prefix",
         "values",
         "sat_weight",
-        "unsat_weight",
         "_clause_sat",
         "_clause_open",
         "_occ",
@@ -76,15 +68,9 @@ class TraceState:
         self.prefix = 0
         self.values: list[Optional[bool]] = [None] * formula.num_vars
         self.sat_weight = 0
-        self.unsat_weight = 0
         self._clause_sat = [False] * formula.num_clauses
         self._clause_open = list(compiled.open_counts)
         self._occ = compiled.occ  # shared with the formula, read-only
-
-    @property
-    def doubled_bound(self) -> int:
-        """2*B_i = SAT_i + (W - UNSAT_i)."""
-        return self.sat_weight + self.formula.total_weight - self.unsat_weight
 
     def copy(self) -> "TraceState":
         other = TraceState.__new__(TraceState)
@@ -93,7 +79,6 @@ class TraceState:
         other.prefix = self.prefix
         other.values = list(self.values)
         other.sat_weight = self.sat_weight
-        other.unsat_weight = self.unsat_weight
         other._clause_sat = list(self._clause_sat)
         other._clause_open = list(self._clause_open)
         other._occ = self._occ  # occurrence lists are read-only
@@ -156,54 +141,39 @@ def assign_occurrences(
     clause_sat: list[bool],
     clause_open: list[int],
     value: bool,
-) -> tuple[int, int]:
-    """Sets v to value over occ(v), updating clause_sat and clause_open in
-    place; returns the (satisfied, unsatisfied) weight it adds."""
-    miss = -1 if value else 1  # the one sign this value leaves unsatisfied
-    sat_gain = unsat_gain = 0
+) -> int:
+    """Sets v to value over occ(v) in place; returns the satisfied weight
+    it adds.  Touches only clauses not yet satisfied, and drops
+    clause_open[j] only when value misses clause j: step_deltas never reads
+    the open count of a satisfied clause."""
+    miss = -1 if value else 1  # the one sign this value does not satisfy
+    gain = 0
     for j, sign, w in occ_v:
-        clause_open[j] -= 1
         if clause_sat[j]:
             continue
         if sign != miss:
             clause_sat[j] = True
-            sat_gain += w
-        elif clause_open[j] == 0:
-            unsat_gain += w
-    return sat_gain, unsat_gain
+            gain += w
+        else:
+            clause_open[j] -= 1
+    return gain
 
 
 def step_quantities(state: TraceState) -> StepQuantities:
-    """Decision quantities for the next unassigned variable.
-
-    A clause counts toward unsat_t exactly when it is not yet satisfied,
-    the variable is its last unassigned one, and setting it true does not
-    satisfy it.  Raises LemmaViolation as step_deltas does.
-    """
+    """Decision quantities for the next unassigned variable; raises
+    LemmaViolation as step_deltas does."""
     v = state.next_var()
-    t2, f2, (taut, w_pos, w_neg, f_pos, f_neg) = step_deltas(
-        v, state._occ[v], state._clause_sat, state._clause_open
-    )
-    return StepQuantities(
-        var=v,
-        t2=t2,
-        f2=f2,
-        sat_t=state.sat_weight + taut + w_pos + f_pos,
-        sat_f=state.sat_weight + taut + w_neg + f_neg,
-        unsat_t=state.unsat_weight + w_neg,
-        unsat_f=state.unsat_weight + w_pos,
-    )
+    t2, f2, _ = step_deltas(v, state._occ[v], state._clause_sat, state._clause_open)
+    return StepQuantities(v, t2, f2)
 
 
 def apply(state: TraceState, value: bool) -> TraceState:
     """Assign the next variable in order; updates state in place."""
     v = state.next_var()
     state.values[v - 1] = value
-    sat_gain, unsat_gain = assign_occurrences(
+    state.sat_weight += assign_occurrences(
         state._occ[v], state._clause_sat, state._clause_open, value
     )
-    state.sat_weight += sat_gain
-    state.unsat_weight += unsat_gain
     state.prefix += 1
     return state
 
@@ -226,7 +196,7 @@ def drive(
         occ_v = occ[v]
         t2, f2, sums = step_deltas(v, occ_v, clause_sat, clause_open)
         value = values[v - 1] = pick(v, t2, f2, sums)
-        weight += assign_occurrences(occ_v, clause_sat, clause_open, value)[0]
+        weight += assign_occurrences(occ_v, clause_sat, clause_open, value)
     return values, weight
 
 

@@ -94,7 +94,7 @@ def cmd_solve(args) -> int:
             )
         report["weight"] = result.weight
         report["assignment"] = _assignment_str(result.assignment)
-        if args.seed is not None and result.seed is not None:
+        if result.seed is not None:
             report["seed"] = result.seed
         if args.trace:
             report["trace"] = [
@@ -116,6 +116,10 @@ def _assignment_str(values: Sequence[bool]) -> str:
     return "".join("1" if v else "0" for v in values)
 
 
+# the least value of each bounded corpus parameter; seed takes any integer
+CORPUS_MINIMUM = {"n": 1, "m": 1, "count": 0, "max_len": 1, "max_w": 1}
+
+
 def _parse_corpus_spec(spec: str) -> dict:
     params = {"n": 8, "m": 20, "count": 100, "seed": 1, "max_len": 3, "max_w": 10}
     for part in spec.split(","):
@@ -123,11 +127,21 @@ def _parse_corpus_spec(spec: str) -> dict:
         key = key.strip()
         if key not in params:
             raise ValueError(f"unknown corpus parameter {key!r}")
-        params[key] = int(value)
+        try:
+            params[key] = int(value)
+        except ValueError:
+            raise ValueError(
+                f"corpus parameter {key} must be an integer, got {value!r}"
+            ) from None
     return params
 
 
 def _corpus_instances(params: dict) -> list[fm.Formula]:
+    for key, least in CORPUS_MINIMUM.items():
+        if params[key] < least:
+            raise ValueError(
+                f"corpus parameter {key} must be >= {least}, got {params[key]}"
+            )
     rng = random.Random(params["seed"])
     out = []
     for _ in range(params["count"]):
@@ -177,14 +191,13 @@ def cmd_verify(args) -> int:
             passed = (
                 rand_report.overall_pass and lp_report.overall_pass and guarantee_ok
             )
-            if not rand_report.overall_pass:
+            failures = rand_report.failures() + lp_report.failures()
+            if failures:  # each failed check is lhs <= rhs, given exactly
                 entry["failures"] = [
-                    r.name for r in rand_report.failures()
+                    {"name": r.name, "step": r.step, "var": r.var,
+                     "lhs": _frac(r.lhs), "rhs": _frac(r.rhs)}
+                    for r in failures
                 ]
-            if not lp_report.overall_pass:
-                entry.setdefault("failures", []).extend(
-                    r.name for r in lp_report.failures()
-                )
             if exp.ratio is not None and (min_ratio is None or exp.ratio < min_ratio):
                 min_ratio = exp.ratio
         except bookkeep.LemmaViolation as exc:

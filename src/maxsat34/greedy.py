@@ -152,7 +152,7 @@ def run_weight(
         num, den = decide(t2, f2)
         # draw < num/den with draw = word/2^64, compared exactly
         value = num == 1 if den == 1 else next(words) * den < num * _TWO64
-        weight += assign_occurrences(occ_v, clause_sat, clause_open, value)[0]
+        weight += assign_occurrences(occ_v, clause_sat, clause_open, value)
     return weight
 
 

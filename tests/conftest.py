@@ -9,6 +9,7 @@ from maxsat34 import (
     build_relaxation,
     lp_value,
     random_instance,
+    recompute_sat_unsat,
     run_lp_rounding,
     satisfied_weight,
     solve_lp,
@@ -49,6 +50,20 @@ def scan_optimum(f):
         key=lambda values: satisfied_weight(f, values),
     )
     return satisfied_weight(f, witness), witness
+
+
+def rescan_deltas(f, values, v):
+    """(2t_i, 2f_i) of setting x_v after the partial assignment values,
+    by the paper's definition from full rescans: the change of
+    2B = SAT + W - UNSAT, that is dSAT - dUNSAT, for x_v true and false."""
+    sat, unsat = recompute_sat_unsat(f, values)
+    deltas = []
+    for value in (True, False):
+        step = list(values)
+        step[v - 1] = value
+        sat_v, unsat_v = recompute_sat_unsat(f, step)
+        deltas.append((sat_v - sat) - (unsat_v - unsat))
+    return tuple(deltas)
 
 
 def rounding_matches_rescan(f, order=None):

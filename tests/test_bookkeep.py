@@ -22,7 +22,7 @@ from maxsat34 import (
 from maxsat34.bookkeep import drive, step_deltas
 from maxsat34.greedy import splitmix64
 
-from conftest import clause, formula, scan_optimum
+from conftest import clause, formula, rescan_deltas, scan_optimum
 
 
 def test_new_trace_initial_state():
@@ -30,15 +30,16 @@ def test_new_trace_initial_state():
     t = new_trace(f)
     assert t.prefix == 0
     assert t.sat_weight == 0
-    assert t.unsat_weight == 0
-    assert t.doubled_bound == 2  # 2*B_0 = W
+    assert t.values == [None]
 
 
 def test_new_trace_empty_formula():
     from maxsat34 import Formula
 
     t = new_trace(Formula(num_vars=0, clauses=()))
-    assert t.doubled_bound == 0
+    assert (t.prefix, t.sat_weight, t.values) == (0, 0, [])
+    with pytest.raises(IndexError):
+        step_quantities(t)
 
 
 def test_new_trace_rejects_bad_order():
@@ -63,24 +64,17 @@ def test_step_quantities_opposing_units():
 
 def test_step_quantities_three_clause(three_clause):
     q = step_quantities(new_trace(three_clause))
-    assert (q.t2, q.f2) == (1, 1)
-    # cross-check the four deltas by exhaustive recomputation
-    assert (q.sat_t, q.unsat_t) == recompute_via_rescan(three_clause, True)
-    assert (q.sat_f, q.unsat_f) == recompute_via_rescan(three_clause, False)
-
-
-def recompute_via_rescan(f, first_value):
-    values = [None] * f.num_vars
-    values[0] = first_value
-    return recompute_sat_unsat(f, values)
+    assert (q.var, q.t2, q.f2) == (1, 1, 1)
+    # cross-check against the paper's definition by full rescans
+    assert (q.t2, q.f2) == rescan_deltas(three_clause, [None, None], 1)
 
 
 def test_apply_unit_clause():
     f = formula(1, clause(pos=(1,)))
     t = apply(new_trace(f), True)
-    assert (t.sat_weight, t.unsat_weight, t.doubled_bound) == (1, 0, 2)
+    assert (t.prefix, t.values, t.sat_weight) == (1, [True], 1)
     t = apply(new_trace(f), False)
-    assert (t.sat_weight, t.unsat_weight, t.doubled_bound) == (0, 1, 0)
+    assert (t.prefix, t.values, t.sat_weight) == (1, [False], 0)
 
 
 def test_apply_rejects_past_end():
@@ -143,27 +137,24 @@ def full_trace_checks(f, order, values_source):
     """Walk a full trace checking invariants at every step against the
     full-rescan reference."""
     t = new_trace(f, order)
-    assert t.doubled_bound == f.total_weight
-    prev_sat = prev_unsat = 0
+    doubled_bound = f.total_weight  # 2*B_0 = W
+    prev_sat = 0
     words = splitmix64(0)
     quantities = []
     for _ in range(f.num_vars):
         q = step_quantities(t)
         assert q.t2 + q.f2 >= 0  # Lemma 1
-        assert q.t2 == (q.sat_t - t.sat_weight) - (q.unsat_t - t.unsat_weight)
-        assert q.f2 == (q.sat_f - t.sat_weight) - (q.unsat_f - t.unsat_weight)
+        assert (q.t2, q.f2) == rescan_deltas(f, t.values, q.var)
         quantities.append(q)
         value = values_source(q, words)
         apply(t, value)
-        assert (t.sat_weight, t.unsat_weight) == recompute_sat_unsat(
-            f, t.values
-        )
-        assert t.sat_weight >= prev_sat and t.unsat_weight >= prev_unsat
-        prev_sat, prev_unsat = t.sat_weight, t.unsat_weight
+        doubled_bound += q.t2 if value else q.f2
+        assert t.sat_weight == recompute_sat_unsat(f, t.values)[0]
+        assert t.sat_weight >= prev_sat
+        prev_sat = t.sat_weight
     final = satisfied_weight(f, [bool(v) for v in t.values])
     assert t.sat_weight == final
-    assert t.sat_weight == f.total_weight - t.unsat_weight
-    assert t.doubled_bound == 2 * final  # 2*B_n = 2*w(S_n)
+    assert doubled_bound == 2 * final  # 2*B_n = 2*w(S_n)
     for q, sums in zip(quantities, alpha_sums(f, order, t.values), strict=True):
         assert_alpha_identities(q, sums)
 
@@ -189,8 +180,8 @@ def test_custom_order_changes_sequence():
 
 def test_run_weight_matches_direct_eval(small_corpus):
     for f in small_corpus[:20]:
-        w = run_weight(f, None, seed=3)
-        assert 0 <= w <= f.total_weight
+        run = run_randomized(f, None, 3)
+        assert run_weight(f, None, 3) == satisfied_weight(f, run.assignment)
 
 
 @st.composite
@@ -239,15 +230,9 @@ def test_kernel_matches_rescan_on_edge_cases(case, seed):
         assert (q.var, q.t2, q.f2) == (step.var, step.t2, step.f2)
         # alpha-rule identities, tautological clauses included
         assert_alpha_identities(q, step_sums)
-        for value, expected in (
-            (True, (q.sat_t, q.unsat_t)),
-            (False, (q.sat_f, q.unsat_f)),
-        ):
-            values = list(t.values)
-            values[q.var - 1] = value
-            assert recompute_sat_unsat(f, values) == expected
+        assert (q.t2, q.f2) == rescan_deltas(f, t.values, q.var)
         apply(t, step.value)
-        assert (t.sat_weight, t.unsat_weight) == recompute_sat_unsat(f, t.values)
+        assert t.sat_weight == recompute_sat_unsat(f, t.values)[0]
     assert t.sat_weight == run.weight
     assert run_weight(f, order, seed) == run.weight
     assert run_vanzuylen(f, order, seed) == run

@@ -1,10 +1,12 @@
 import json
+from fractions import Fraction
 
 import pytest
 
 import maxsat34.cli as cli
 import maxsat34.oracle
 from maxsat34 import LemmaViolation, parse_dimacs, write_dimacs
+from maxsat34.oracle import CheckRecord, LemmaReport
 
 UNIT = "p wcnf 1 1\n1 1 0\n"
 PAIR = "p wcnf 2 2\n1 1 2 0\n1 -1 0\n"
@@ -154,6 +156,55 @@ def test_verify_corrupted_bookkeeping_names_lemma1(capsys, unit_file, monkeypatc
     code, out, _ = run(capsys, "verify", unit_file)
     assert code == 1
     assert "Lemma 1" in out
+
+
+def test_verify_failure_names_the_inequality(capsys, unit_file, monkeypatch):
+    real = maxsat34.oracle.check_lp_lemmas
+    planted = CheckRecord(2, 1, "planted bound", Fraction(5, 2), Fraction(-1, 3), False)
+
+    def failing(f, **kwargs):
+        report = real(f, **kwargs)
+        return LemmaReport(report.records + (planted,), False)
+
+    monkeypatch.setattr(maxsat34.oracle, "check_lp_lemmas", failing)
+    code, out, _ = run(capsys, "verify", "--format", "structured", unit_file)
+    assert code == 1
+    report = json.loads(out)
+    assert report["all_pass"] is False
+    assert report["failing"] == [
+        {
+            "instance": unit_file,
+            "failures": [
+                {"name": "planted bound", "step": 2, "var": 1,
+                 "lhs": "5/2", "rhs": "-1/3"},
+            ],
+        }
+    ]
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["verify", "--corpus", "n=0"], "n must be >= 1, got 0"),
+        (["verify", "--corpus", "m=0"], "m must be >= 1, got 0"),
+        (["verify", "--corpus", "max_len=0"], "max_len must be >= 1, got 0"),
+        (["verify", "--corpus", "max_w=0"], "max_w must be >= 1, got 0"),
+        (["verify", "--corpus", "count=-3"], "count must be >= 0, got -3"),
+        (["verify", "--corpus", "n=abc"], "n must be an integer, got 'abc'"),
+        (["verify", "--corpus", "count=5,n"], "n must be an integer, got ''"),
+        (["corpus", "--n", "0"], "n must be >= 1, got 0"),
+        (["corpus", "--count", "-1"], "count must be >= 0, got -1"),
+    ],
+)
+def test_corpus_spec_out_of_range_is_rejected(capsys, tmp_path, argv, message):
+    out_dir = tmp_path / "corp"
+    if argv[0] == "corpus":
+        argv = argv + ["--out-dir", str(out_dir)]
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err == f"error: corpus parameter {message}\n"
+    assert not out_dir.exists()
 
 
 def test_verify_skips_oversized_instance(capsys, tmp_path, unit_file):

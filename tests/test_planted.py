@@ -36,7 +36,7 @@ from maxsat34 import (
     step_quantities,
 )
 
-from conftest import rounding_matches_rescan, scan_optimum
+from conftest import rescan_deltas, rounding_matches_rescan, scan_optimum
 from test_golden import compute_records, load_golden
 
 SEEDS = range(3)
@@ -95,20 +95,17 @@ def expectation_enumeration(corpus):
 
 
 def kernel_matches_rescan(corpus):
-    """The step totals of both settings agree with a full rescan."""
+    """Every step's t2 and f2, and the satisfied weight after it, agree
+    with full rescans."""
     for f in corpus:
         t = new_trace(f)
         for _ in range(f.num_vars):
             q = step_quantities(t)
-            for value, totals in (
-                (True, (q.sat_t, q.unsat_t)),
-                (False, (q.sat_f, q.unsat_f)),
-            ):
-                values = list(t.values)
-                values[q.var - 1] = value
-                if recompute_sat_unsat(f, values) != totals:
-                    return False
+            if (q.t2, q.f2) != rescan_deltas(f, t.values, q.var):
+                return False
             bookkeep.apply(t, q.t2 >= q.f2)
+            if t.sat_weight != recompute_sat_unsat(f, t.values)[0]:
+                return False
     return True
 
 
@@ -179,12 +176,21 @@ def last_open_off_by_one(monkeypatch):
     )
 
 
-def swapped_gains(monkeypatch):
+def gain_on_miss(monkeypatch):
     plant(
         monkeypatch,
         bookkeep.assign_occurrences,
-        "return sat_gain, unsat_gain",
-        "return unsat_gain, sat_gain",
+        "if sign != miss:",
+        "if sign == miss:",
+    )
+
+
+def stale_open_count(monkeypatch):
+    plant(
+        monkeypatch,
+        bookkeep.assign_occurrences,
+        "clause_open[j] -= 1",
+        "pass",
     )
 
 
@@ -283,8 +289,9 @@ def opt_keeps_falsified_weight(monkeypatch):
 # fault, the gates that must fail under it
 PLANTED = [
     (half_probability, ("alpha_equivalence", "randomized_lemmas")),
-    (last_open_off_by_one, ("kernel_matches_rescan",)),
-    (swapped_gains, ("golden_replay",)),
+    (last_open_off_by_one, ("kernel_matches_rescan", "golden_replay")),
+    (gain_on_miss, ("kernel_matches_rescan", "golden_replay")),
+    (stale_open_count, ("kernel_matches_rescan", "golden_replay")),
     (rounding_tie_false, ("golden_replay",)),
     (perturbed_y_star, ("lp_sanity", "lp_certificate")),
     (perturbed_dual, ("lp_certificate",)),
