@@ -46,7 +46,6 @@ from .lp import (
     lp_value,
     run_lp_rounding,
     solve_lp,
-    write_lp,
 )
 from .oracle import (
     ExpectationReport,

@@ -116,17 +116,24 @@ def _assignment_str(values: Sequence[bool]) -> str:
     return "".join("1" if v else "0" for v in values)
 
 
+# the corpus parameters in report order, with their defaults for both
+# `verify --corpus` and the `corpus` command
+CORPUS_DEFAULTS = {"n": 8, "m": 20, "count": 100, "seed": 1, "max_len": 3, "max_w": 10}
 # the least value of each bounded corpus parameter; seed takes any integer
 CORPUS_MINIMUM = {"n": 1, "m": 1, "count": 0, "max_len": 1, "max_w": 1}
 
 
 def _parse_corpus_spec(spec: str) -> dict:
-    params = {"n": 8, "m": 20, "count": 100, "seed": 1, "max_len": 3, "max_w": 10}
+    params = dict(CORPUS_DEFAULTS)
+    given = set()
     for part in spec.split(","):
         key, _, value = part.partition("=")
         key = key.strip()
         if key not in params:
             raise ValueError(f"unknown corpus parameter {key!r}")
+        if key in given:
+            raise ValueError(f"corpus parameter {key} is given twice")
+        given.add(key)
         try:
             params[key] = int(value)
         except ValueError:
@@ -157,14 +164,15 @@ def _corpus_instances(params: dict) -> list[fm.Formula]:
 
 
 def cmd_verify(args) -> int:
+    if args.corpus and args.inputs:
+        raise ValueError("verify takes files or --corpus, not both")
     if args.corpus:
         params = _parse_corpus_spec(args.corpus)
-        instances = _corpus_instances(params)
-        sources = [f"corpus[{i}]" for i in range(len(instances))]
+        corpus = _corpus_instances(params)
+        instances = [(f"corpus[{i}]", f) for i, f in enumerate(corpus)]
         header = {"corpus": params}
     elif args.inputs:
-        instances = [_read_formula(p) for p in args.inputs]
-        sources = list(args.inputs)
+        instances = [(path, None) for path in args.inputs]
         header = {"files": list(args.inputs)}
     else:
         print("verify: need input files or --corpus", file=sys.stderr)
@@ -172,7 +180,13 @@ def cmd_verify(args) -> int:
 
     min_ratio: Optional[Fraction] = None
     results = []
-    for source, f in zip(sources, instances):
+    for source, f in instances:
+        if f is None:  # a file is read here, so that its error is its own
+            try:
+                f = _read_formula(source)
+            except (OSError, ValueError) as exc:
+                results.append({"instance": source, "error": str(exc), "pass": False})
+                continue
         entry = {"instance": source, "n": f.num_vars, "m": f.num_clauses}
         try:
             # one exhaustive optimum serves all three checks; an instance
@@ -224,7 +238,7 @@ def cmd_verify(args) -> int:
     if len(checked) < len(results):
         report["skipped"] = len(results) - len(checked)
     failing = [
-        {k: e[k] for k in ("instance", "violation", "failures") if k in e}
+        {k: e[k] for k in ("instance", "error", "violation", "failures") if k in e}
         for e in checked
         if not e["pass"]
     ]
@@ -258,10 +272,7 @@ def cmd_expectation(args) -> int:
 
 
 def cmd_corpus(args) -> int:
-    params = {
-        "n": args.n, "m": args.m, "count": args.count, "seed": args.seed,
-        "max_len": args.max_len, "max_w": args.max_w,
-    }
+    params = {key: getattr(args, key) for key in CORPUS_DEFAULTS}
     instances = _corpus_instances(params)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -315,12 +326,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_exp.set_defaults(func=cmd_expectation)
 
     p_corpus = sub.add_parser("corpus", help="write a random instance corpus")
-    p_corpus.add_argument("--n", type=int, default=8)
-    p_corpus.add_argument("--m", type=int, default=20)
-    p_corpus.add_argument("--count", type=int, default=100)
-    p_corpus.add_argument("--seed", type=int, default=1)
-    p_corpus.add_argument("--max-len", type=int, default=3)
-    p_corpus.add_argument("--max-w", type=int, default=10)
+    for key, default in CORPUS_DEFAULTS.items():
+        p_corpus.add_argument("--" + key.replace("_", "-"), type=int, default=default)
     p_corpus.add_argument("--out-dir", required=True)
     add_common(p_corpus)
     p_corpus.set_defaults(func=cmd_corpus)
@@ -332,7 +339,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (fm.FormulaError, oracle.LimitError, ValueError) as exc:
+    except (OSError, ValueError) as exc:  # FormulaError, LimitError included
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except bookkeep.LemmaViolation as exc:

@@ -32,11 +32,6 @@ class Clause:
     def variables(self) -> frozenset[int]:
         return self.pos | self.neg
 
-    def is_tautology(self) -> bool:
-        # a variable occurring both positively and negatively makes the
-        # clause satisfied under every assignment of that variable
-        return bool(self.pos & self.neg)
-
 
 # One occurrence of a variable: (clause index, sign, clause weight), where
 # sign is +1 (positive literal), -1 (negative literal) or 0 (the clause

@@ -262,29 +262,6 @@ def lp_value(formula: Formula, y: Sequence[Fraction]) -> Fraction:
     return total
 
 
-def write_lp(model: LpModel) -> str:
-    """CPLEX-LP text export, for cross-checking against external solvers."""
-    terms = " + ".join(
-        f"{w} z{j + 1}" for j, w in enumerate(model.weights)
-    )
-    lines = ["Maximize", f" obj: {terms if terms else '0 y1'}", "Subject To"]
-    for j in range(model.num_z):
-        parts = [f"- y{v}" for v in model.clause_pos[j]]
-        parts += [f"+ y{v}" for v in model.clause_neg[j]]
-        expr = " ".join(parts)
-        lines.append(
-            f" c{j + 1}: {expr}{' ' if expr else ''}+ z{j + 1}"
-            f" <= {len(model.clause_neg[j])}"
-        )
-    lines.append("Bounds")
-    for i in range(model.num_y):
-        lines.append(f" 0 <= y{i + 1} <= 1")
-    for j in range(model.num_z):
-        lines.append(f" 0 <= z{j + 1} <= 1")
-    lines.append("End")
-    return "\n".join(lines) + "\n"
-
-
 def run_lp_rounding(
     formula: Formula,
     order: Optional[Sequence[int]] = None,

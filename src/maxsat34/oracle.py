@@ -23,6 +23,7 @@ from .lp import LpSolution, build_relaxation, run_lp_rounding, solve_lp
 
 BRUTE_FORCE_LIMIT = 20
 EXPECTATION_LIMIT = 15
+ENUMERATION_LIMIT = 6
 
 
 class LimitError(ValueError):
@@ -57,36 +58,8 @@ class LemmaReport:
     def failures(self) -> tuple[CheckRecord, ...]:
         return tuple(r for r in self.records if not r.passed)
 
-    def to_text(self) -> str:
-        lines = []
-        for r in self.records:
-            status = "ok" if r.passed else "FAIL"
-            lines.append(
-                f"step {r.step} x{r.var} {r.name}: {r.lhs} <= {r.rhs} {status}"
-            )
-        lines.append(f"overall: {'pass' if self.overall_pass else 'FAIL'}")
-        return "\n".join(lines)
 
-    def to_tree(self) -> dict:
-        return {
-            "overall_pass": self.overall_pass,
-            "checks": [
-                {
-                    "step": r.step,
-                    "var": r.var,
-                    "name": r.name,
-                    "lhs": str(r.lhs),
-                    "rhs": str(r.rhs),
-                    "passed": r.passed,
-                }
-                for r in self.records
-            ],
-        }
-
-
-def brute_force_opt(
-    formula: Formula, limit: int = BRUTE_FORCE_LIMIT
-) -> tuple[int, Assignment]:
+def brute_force_opt(formula: Formula) -> tuple[int, Assignment]:
     """Exact optimum over all 2^n assignments.  Ties break to the lowest
     binary encoding with x_1 least significant and false < true.
 
@@ -94,8 +67,8 @@ def brute_force_opt(
     Formula.compiled: step i flips x_{b+1} with b = ctz(i), and only the
     clauses holding that variable update their count of true literals."""
     n = formula.num_vars
-    if n > limit:
-        raise LimitError(f"n = {n} exceeds brute-force limit {limit}")
+    if n > BRUTE_FORCE_LIMIT:
+        raise LimitError(f"n = {n} exceeds brute-force limit {BRUTE_FORCE_LIMIT}")
     # pos[b] / neg[b]: (clause, weight) of each positive / negative literal
     # of x_{b+1}; a tautological clause is in both, so its count stays >= 1
     pos: list[list[tuple[int, int]]] = [[] for _ in range(n)]
@@ -133,14 +106,12 @@ def brute_force_opt(
     return best_w, tuple(bool(best_code >> i & 1) for i in range(n))
 
 
-def check_expectation_limit(
-    formula: Formula, limit: int = EXPECTATION_LIMIT
-) -> None:
+def check_expectation_limit(formula: Formula) -> None:
     """Raises LimitError when formula is too large for the decision-tree
     walks of exact_expectation and check_randomized_lemmas."""
-    if formula.num_vars > limit:
+    if formula.num_vars > EXPECTATION_LIMIT:
         raise LimitError(
-            f"n = {formula.num_vars} exceeds expectation limit {limit}"
+            f"n = {formula.num_vars} exceeds expectation limit {EXPECTATION_LIMIT}"
         )
 
 
@@ -157,7 +128,6 @@ def _branches(t2: int, f2: int) -> list[tuple[bool, Fraction]]:
 def _expand(
     formula: Formula,
     order: Optional[Sequence[int]],
-    limit: int,
     visit: Optional[Callable] = None,
 ) -> tuple[Fraction, int]:
     """(E[w(S_n)], node count) by exact expansion of the randomized
@@ -167,7 +137,7 @@ def _expand(
     (value, probability) pairs of _branches and the child traces, in the
     same order."""
     n = formula.num_vars
-    check_expectation_limit(formula, limit)
+    check_expectation_limit(formula)
     nodes = 0
 
     def expand(trace: TraceState) -> Fraction:
@@ -195,13 +165,12 @@ def _expand(
 def exact_expectation(
     formula: Formula,
     order: Optional[Sequence[int]] = None,
-    limit: int = EXPECTATION_LIMIT,
     optimum: Optional[tuple[int, Assignment]] = None,
 ) -> ExpectationReport:
     """E[w(S_n)] by exact expansion of the algorithm's decision tree.
     optimum, if given, is brute_force_opt(formula), computed once by the
     caller."""
-    expectation, nodes = _expand(formula, order, limit)
+    expectation, nodes = _expand(formula, order)
     opt, _ = brute_force_opt(formula) if optimum is None else optimum
     ratio = Fraction(expectation, opt) if opt > 0 else None
     return ExpectationReport(
@@ -210,14 +179,16 @@ def exact_expectation(
 
 
 def enumerate_expectation(
-    formula: Formula, order: Optional[Sequence[int]] = None, limit: int = 6
+    formula: Formula, order: Optional[Sequence[int]] = None
 ) -> Fraction:
     """Independent cross-check of exact_expectation: sums probability *
     weight over all 2^n leaf assignments, replaying each path from scratch
     with explicit probability products."""
     n = formula.num_vars
-    if n > limit:
-        raise LimitError(f"n = {n} exceeds path-enumeration limit {limit}")
+    if n > ENUMERATION_LIMIT:
+        raise LimitError(
+            f"n = {n} exceeds path-enumeration limit {ENUMERATION_LIMIT}"
+        )
     total = Fraction(0)
     for code in range(1 << n):
         values = tuple(bool(code >> i & 1) for i in range(n))
@@ -271,7 +242,6 @@ def _spliced_weight(
 def check_randomized_lemmas(
     formula: Formula,
     order: Optional[Sequence[int]] = None,
-    limit: int = EXPECTATION_LIMIT,
     optimum: Optional[tuple[int, Assignment]] = None,
 ) -> LemmaReport:
     """Walks every positive-probability node of the decision tree and
@@ -318,7 +288,7 @@ def check_randomized_lemmas(
         record(step, v, "node bound (Lemma 3)", expected_drop, rhs3)
         record(step, v, "node bound (Lemma 2)", expected_drop, expected_bound)
 
-    _expand(formula, order, limit, visit)
+    _expand(formula, order, visit)
     return LemmaReport(
         records=tuple(records),
         overall_pass=all(r.passed for r in records),
@@ -329,13 +299,12 @@ def check_lp_lemmas(
     formula: Formula,
     order: Optional[Sequence[int]] = None,
     sol: Optional[LpSolution] = None,
-    brute_limit: int = BRUTE_FORCE_LIMIT,
     optimum: Optional[tuple[int, Assignment]] = None,
 ) -> LemmaReport:
     """Runs the LP rounding trace and records, per step, both proof claims,
     the rounding disjunction, and the per-step bound inequality; then the
     final chain w(S_n) >= OPT_LP/2 + W/4 >= 3/4 OPT.  The last link is
-    checked when optimum is given or n <= brute_limit."""
+    checked when optimum is given or n <= BRUTE_FORCE_LIMIT."""
     if sol is None:
         sol = solve_lp(build_relaxation(formula))
     records: list[CheckRecord] = []
@@ -369,8 +338,8 @@ def check_lp_lemmas(
     records.append(
         CheckRecord(0, 0, "final w >= OPT_LP/2 + W/4", half_bound, w, half_bound <= w)
     )
-    if optimum is None and formula.num_vars <= brute_limit:
-        optimum = brute_force_opt(formula, brute_limit)
+    if optimum is None and formula.num_vars <= BRUTE_FORCE_LIMIT:
+        optimum = brute_force_opt(formula)
     if optimum is not None:
         opt, _ = optimum
         records.append(

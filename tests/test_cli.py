@@ -194,6 +194,9 @@ def test_verify_failure_names_the_inequality(capsys, unit_file, monkeypatch):
         (["verify", "--corpus", "count=5,n"], "n must be an integer, got ''"),
         (["corpus", "--n", "0"], "n must be >= 1, got 0"),
         (["corpus", "--count", "-1"], "count must be >= 0, got -1"),
+        (["verify", "--corpus", "n=2,m=3,n=4"], "n is given twice"),
+        (["verify", "unit.wcnf", "--corpus", "n=2"],
+         "verify takes files or --corpus, not both"),
     ],
 )
 def test_corpus_spec_out_of_range_is_rejected(capsys, tmp_path, argv, message):
@@ -203,7 +206,10 @@ def test_corpus_spec_out_of_range_is_rejected(capsys, tmp_path, argv, message):
     code, out, err = run(capsys, *argv)
     assert code == 2
     assert out == ""
-    assert err == f"error: corpus parameter {message}\n"
+    # a corpus parameter case gives the text after "corpus parameter "
+    if not message.startswith("verify "):
+        message = "corpus parameter " + message
+    assert err == f"error: {message}\n"
     assert not out_dir.exists()
 
 
@@ -260,6 +266,42 @@ def test_verify_that_checked_nothing_fails(capsys, tmp_path):
     assert code == 1
     report = json.loads(out)
     assert (report["count"], report["all_pass"]) == (0, False)
+
+
+def test_verify_reports_each_unreadable_file(capsys, tmp_path, unit_file):
+    bad = tmp_path / "bad.wcnf"
+    bad.write_text("p wcnf 2 1\n1 3 0\n")
+    missing = str(tmp_path / "missing.wcnf")
+    code, out, _ = run(
+        capsys, "verify", "--verbose", "--format", "structured",
+        unit_file, str(bad), missing,
+    )
+    assert code == 1
+    report = json.loads(out)
+    assert (report["count"], report["all_pass"]) == (3, False)
+    assert "skipped" not in report
+    checked, parse_failed, open_failed = report["instances"]
+    assert checked["pass"] is True
+    assert parse_failed == {
+        "instance": str(bad), "error": "line 2: literal 3 out of range",
+        "pass": False,
+    }
+    assert open_failed["pass"] is False
+    assert "No such file or directory" in open_failed["error"]
+    assert report["failing"] == [
+        {"instance": str(bad), "error": "line 2: literal 3 out of range"},
+        {"instance": missing, "error": open_failed["error"]},
+    ]
+
+
+@pytest.mark.parametrize("command", ["solve", "expectation"])
+def test_missing_file_is_an_error(capsys, tmp_path, command):
+    missing = str(tmp_path / "no" / "such.cnf")
+    code, out, err = run(capsys, command, missing)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert missing in err
 
 
 def test_verify_needs_input(capsys):

@@ -14,7 +14,6 @@ from maxsat34 import (
     run_lp_rounding,
     satisfied_weight,
     solve_lp,
-    write_lp,
 )
 
 from conftest import clause, formula, rounding_matches_rescan
@@ -218,12 +217,3 @@ def test_rounding_guarantee_on_corpus(small_corpus):
         assert Fraction(r.weight) >= sol.objective / 2 + Fraction(
             f.total_weight, 4
         )
-
-
-def test_write_lp_format():
-    f = formula(2, clause(pos=(1,), neg=(2,), weight=3))
-    text = write_lp(build_relaxation(f))
-    assert text.startswith("Maximize\n obj: 3 z1\n")
-    assert " c1: - y1 + y2 + z1 <= 1" in text
-    assert " 0 <= y1 <= 1" in text
-    assert text.endswith("End\n")
