@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import operator
 import random
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -22,8 +23,10 @@ class Clause:
     weight: int
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "pos", frozenset(self.pos))
-        object.__setattr__(self, "neg", frozenset(self.neg))
+        if type(self.pos) is not frozenset:
+            object.__setattr__(self, "pos", frozenset(self.pos))
+        if type(self.neg) is not frozenset:
+            object.__setattr__(self, "neg", frozenset(self.neg))
         if not self.pos and not self.neg:
             raise FormulaError("clause has no literals")
         if self.weight < 0:
@@ -128,62 +131,54 @@ def satisfied_weight(formula: Formula, values: Sequence[bool]) -> int:
 
 
 def _clause_from_literals(lits: Iterable[int], weight: int) -> Clause:
-    pos = frozenset(l for l in lits if l > 0)
-    neg = frozenset(-l for l in lits if l < 0)
-    return Clause(pos=pos, neg=neg, weight=weight)
+    pos: set[int] = set()
+    neg: set[int] = set()
+    for l in lits:
+        if l > 0:
+            pos.add(l)
+        else:
+            neg.add(-l)
+    return Clause(frozenset(pos), frozenset(neg), weight)
 
 
 def parse_dimacs(text: str | bytes) -> Formula:
     """Parse DIMACS CNF (implicit unit weights) or old-style weighted CNF.
 
-    Accepted headers: "p cnf n m" and "p wcnf n m [top]".  Clause lines end
-    with 0; "c" comment lines are ignored; a line consisting of "%"
-    terminates the input.  In the wcnf-with-top variant any clause of
-    weight >= top is a hard clause and is rejected.  The clauses before a
-    "%" line must number exactly as the header declares.  New-style (2022)
-    WCNF, without a p line, is rejected with a message that names it.
+    Accepted headers: "p cnf n m" and "p wcnf n m [top]".  After the header
+    the clauses form one stream of integer tokens, each clause ended by 0:
+    a clause may span lines and a line may hold several clauses.  In wcnf
+    the first token of each clause is its weight, so "0 1 0" is a weight-0
+    clause.  A token is an ASCII integer, [+-]?[0-9]+.  "c" comment lines
+    are ignored; a line consisting of "%" terminates the input.  In the
+    wcnf-with-top variant any clause of weight >= top is a hard clause and
+    is rejected.  The clauses before a "%" line must number exactly as the
+    header declares.  New-style (2022) WCNF, without a p line, is rejected
+    with a message that names it.  An error names the line of the
+    offending token; for a clause not terminated by 0, the line where the
+    clause began.
     """
     if isinstance(text, bytes):
         text = text.decode("utf-8")
 
-    num_vars = declared_clauses = 0
-    weighted = False
-    top: int | None = None
-    header_seen = False
+    header = None
     clauses: list[Clause] = []
+    lits: list[int] = []  # literals read so far of the open clause
+    weight = None  # weight of the open clause; None when no clause is open
+    start = 0  # line where the open clause began
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
-        if not line or line.startswith("c"):
+        if not line or line[0] == "c":
             continue
-        if line.startswith("%"):
+        if line[0] == "%":
             break
-        if line.startswith("p"):
-            if header_seen:
+        if line[0] == "p":
+            if header is not None:
                 raise FormulaError(f"line {lineno}: duplicate header")
-            parts = line.split()
-            if len(parts) < 4 or parts[0] != "p":
-                raise FormulaError(f"line {lineno}: malformed header {line!r}")
-            if parts[1] == "cnf":
-                if len(parts) != 4:
-                    raise FormulaError(f"line {lineno}: malformed cnf header")
-            elif parts[1] == "wcnf":
-                weighted = True
-                if len(parts) == 5:
-                    top = _parse_int(parts[4], lineno)
-                elif len(parts) != 4:
-                    raise FormulaError(f"line {lineno}: malformed wcnf header")
-            else:
-                raise FormulaError(
-                    f"line {lineno}: unknown format {parts[1]!r}"
-                )
-            num_vars = _parse_int(parts[2], lineno)
-            declared_clauses = _parse_int(parts[3], lineno)
-            if num_vars < 0 or declared_clauses < 0:
-                raise FormulaError(f"line {lineno}: negative header field")
-            header_seen = True
+            header = _parse_header(line, lineno)
+            num_vars, declared, weighted, top = header
             continue
-        if not header_seen:
+        if header is None:
             raise FormulaError(
                 f"line {lineno}: clause before header; new-style (2022)"
                 " WCNF, with no p line and h for hard clauses, is not"
@@ -191,59 +186,100 @@ def parse_dimacs(text: str | bytes) -> Formula:
             )
 
         tokens = line.split()
-        if weighted:
-            weight = _parse_int(tokens[0], lineno)
-            if weight < 0:
-                raise FormulaError(f"line {lineno}: negative weight {weight}")
-            if top is not None and weight >= top:
-                raise FormulaError(
-                    f"line {lineno}: hard clause (weight {weight} >= top"
-                    f" {top}) unsupported"
-                )
-            tokens = tokens[1:]
-        else:
-            weight = 1
-        if not tokens or tokens[-1] != "0":
-            raise FormulaError(f"line {lineno}: clause not terminated by 0")
-        lits = [_parse_int(t, lineno) for t in tokens[:-1]]
-        if not lits:
-            raise FormulaError(f"line {lineno}: empty clause")
-        for l in lits:
-            if l == 0:
-                raise FormulaError(f"line {lineno}: stray 0 inside clause")
-            if not 1 <= abs(l) <= num_vars:
-                raise FormulaError(
-                    f"line {lineno}: literal {l} out of range"
-                )
-        clauses.append(_clause_from_literals(lits, weight))
+        try:
+            # int() also takes "1_0" and non-ASCII digits; DIMACS does not
+            if not line.isascii() or "_" in line:
+                raise ValueError
+            nums = list(map(int, tokens))
+        except ValueError:  # _parse_int names the first bad token
+            nums = [_parse_int(t, lineno) for t in tokens]
+        i, end = 0, len(nums)
+        while i < end:
+            if weight is None:  # a clause begins at token i
+                start, weight = lineno, 1
+                if weighted:
+                    weight = nums[i]
+                    if weight < 0:
+                        raise FormulaError(f"line {lineno}: negative weight {weight}")
+                    if top is not None and weight >= top:
+                        raise FormulaError(
+                            f"line {lineno}: hard clause (weight {weight} >= top"
+                            f" {top}) unsupported"
+                        )
+                    i += 1
+                    continue
+            try:
+                stop = nums.index(0, i)
+            except ValueError:
+                stop = end
+            chunk = nums[i:stop]
+            if chunk and (min(chunk) < -num_vars or max(chunk) > num_vars):
+                bad = next(l for l in chunk if not -num_vars <= l <= num_vars)
+                raise FormulaError(f"line {lineno}: literal {bad} out of range")
+            lits += chunk
+            if stop == end:
+                break
+            if not lits:
+                raise FormulaError(f"line {start}: empty clause")
+            clauses.append(_clause_from_literals(lits, weight))
+            lits, weight = [], None
+            i = stop + 1
 
-    if not header_seen:
+    if header is None:
         raise FormulaError("missing DIMACS header")
-    if len(clauses) != declared_clauses:
+    if weight is not None:
+        raise FormulaError(f"line {start}: clause not terminated by 0")
+    if len(clauses) != declared:
         raise FormulaError(
-            f"header declares {declared_clauses} clauses, found {len(clauses)}"
+            f"header declares {declared} clauses, found {len(clauses)}"
         )
     return Formula(num_vars=num_vars, clauses=tuple(clauses))
 
 
+def _parse_header(line: str, lineno: int) -> tuple[int, int, bool, int | None]:
+    """(num_vars, declared clauses, weighted, top) of a "p" line."""
+    parts = line.split()
+    if len(parts) < 4 or parts[0] != "p":
+        raise FormulaError(f"line {lineno}: malformed header {line!r}")
+    top = None
+    if parts[1] == "cnf":
+        if len(parts) != 4:
+            raise FormulaError(f"line {lineno}: malformed cnf header")
+    elif parts[1] == "wcnf":
+        if len(parts) == 5:
+            top = _parse_int(parts[4], lineno)
+        elif len(parts) != 4:
+            raise FormulaError(f"line {lineno}: malformed wcnf header")
+    else:
+        raise FormulaError(f"line {lineno}: unknown format {parts[1]!r}")
+    num_vars = _parse_int(parts[2], lineno)
+    declared = _parse_int(parts[3], lineno)
+    if num_vars < 0 or declared < 0:
+        raise FormulaError(f"line {lineno}: negative header field")
+    return num_vars, declared, parts[1] == "wcnf", top
+
+
 def _parse_int(token: str, lineno: int) -> int:
-    try:
-        return int(token)
-    except ValueError:
-        if token == "h":
-            raise FormulaError(
-                f"line {lineno}: h hard-clause line; new-style (2022) WCNF"
-                " is not supported"
-            )
-        raise FormulaError(f"line {lineno}: expected integer, got {token!r}")
+    """The value of a DIMACS integer token, [+-]?[0-9]+ in ASCII."""
+    if token.isascii() and "_" not in token:
+        try:
+            return int(token)
+        except ValueError:
+            pass
+    if token == "h":
+        raise FormulaError(
+            f"line {lineno}: h hard-clause line; new-style (2022) WCNF"
+            " is not supported"
+        )
+    raise FormulaError(f"line {lineno}: expected integer, got {token!r}")
 
 
 def write_dimacs(formula: Formula) -> str:
     """Emit old-style wcnf text; parse_dimacs(write_dimacs(f)) == f."""
     lines = [f"p wcnf {formula.num_vars} {formula.num_clauses}"]
     for c in formula.clauses:
-        lits = sorted(c.pos) + [-v for v in sorted(c.neg)]
-        lines.append(f"{c.weight} " + " ".join(str(l) for l in lits) + " 0")
+        tokens = [c.weight, *sorted(c.pos), *map(operator.neg, sorted(c.neg)), 0]
+        lines.append(" ".join(map(str, tokens)))
     return "\n".join(lines) + "\n"
 
 
@@ -262,10 +298,11 @@ def random_instance(
     if max_w < 1:
         raise ValueError("max_w must be >= 1")
     rng = random.Random(seed)
+    randint, sample, bit = rng.randint, rng.sample, rng.getrandbits
+    variables, longest = range(1, n + 1), min(max_len, n)
     clauses = []
     for _ in range(m):
-        length = rng.randint(1, min(max_len, n))
-        variables = rng.sample(range(1, n + 1), length)
-        lits = [v if rng.getrandbits(1) else -v for v in variables]
-        clauses.append(_clause_from_literals(lits, rng.randint(1, max_w)))
+        chosen = sample(variables, randint(1, longest))
+        lits = [v if bit(1) else -v for v in chosen]
+        clauses.append(_clause_from_literals(lits, randint(1, max_w)))
     return Formula(num_vars=n, clauses=tuple(clauses))

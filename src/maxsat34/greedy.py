@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Iterator, Optional, Sequence
 
 from .bookkeep import assign_occurrences, check_order, drive, step_deltas
@@ -47,12 +48,29 @@ class StepRecord:
     draw: Optional[Fraction]  # None when the step was deterministic
 
 
+# One step as a run records it: (var, t2, f2, value, num, den, word), where
+# P[x_var = true] = num/den and word is the 64-bit draw, None when the step
+# was deterministic (then den == 1).
+RawStep = tuple[int, int, int, bool, int, int, Optional[int]]
+
+
 @dataclass(frozen=True)
 class RunResult:
     assignment: Assignment
     weight: int
-    steps: tuple[StepRecord, ...]
+    records: tuple[RawStep, ...]
     seed: Optional[int]
+
+    @cached_property
+    def steps(self) -> tuple[StepRecord, ...]:
+        """The records as StepRecords, built the first time they are read."""
+        return tuple(
+            StepRecord(
+                v, t2, f2, value, Fraction(num, den),
+                None if word is None else Fraction(word, _TWO64),
+            )
+            for v, t2, f2, value, num, den, word in self.records
+        )
 
 
 def decide(t2: int, f2: int) -> tuple[int, int]:
@@ -78,21 +96,21 @@ def run_randomized(
     (formula, order, seed).  Deterministic steps consume no random words,
     keeping traces aligned with run_vanzuylen."""
     words = splitmix64(seed)
-    steps = []
+    records = []
 
     def pick(v, t2, f2, sums):
         num, den = decide(t2, f2)
-        prob_true = Fraction(num, den)
         if den == 1:
-            value, draw = num == 1, None
+            value, word = num == 1, None
         else:
-            draw = Fraction(next(words), _TWO64)
-            value = draw < prob_true
-        steps.append(StepRecord(v, t2, f2, value, prob_true, draw))
+            # draw < num/den with draw = word/2^64, compared exactly
+            word = next(words)
+            value = word * den < num * _TWO64
+        records.append((v, t2, f2, value, num, den, word))
         return value
 
     values, weight = drive(formula, order, pick)
-    return RunResult(tuple(values), weight, tuple(steps), seed)
+    return RunResult(tuple(values), weight, tuple(records), seed)
 
 
 def run_vanzuylen(
@@ -106,26 +124,27 @@ def run_vanzuylen(
     Equivalent to run_randomized step by step; a zero alpha denominator is
     resolved from the signs of t2/f2."""
     words = splitmix64(seed)
-    steps = []
+    records = []
 
     def pick(v, t2, f2, sums):
         taut, w_pos, w_neg, f_pos, f_neg = sums
         num, den = w_pos + f_pos + taut - w_neg, f_pos + f_neg + 2 * taut
-        draw = None
+        word = None
         if den == 0:
             # t2 = -f2: both decisions forced
             value = f2 <= 0
         elif num <= 0 or num >= den:
             value = num > 0
         else:
-            draw = Fraction(next(words), _TWO64)
-            value = draw < Fraction(num, den)
-        prob_true = Fraction(value) if draw is None else Fraction(num, den)
-        steps.append(StepRecord(v, t2, f2, value, prob_true, draw))
+            word = next(words)
+            value = word * den < num * _TWO64
+        if word is None:
+            num, den = int(value), 1
+        records.append((v, t2, f2, value, num, den, word))
         return value
 
     values, weight = drive(formula, order, pick)
-    return RunResult(tuple(values), weight, tuple(steps), seed)
+    return RunResult(tuple(values), weight, tuple(records), seed)
 
 
 def run_weight(
@@ -157,15 +176,15 @@ def run_weight(
 
 
 def _run_greedy(formula, order, prefer_true) -> RunResult:
-    steps = []
+    records = []
 
     def pick(v, t2, f2, sums):
         value = prefer_true(*sums)
-        steps.append(StepRecord(v, t2, f2, value, Fraction(value), None))
+        records.append((v, t2, f2, value, int(value), 1, None))
         return value
 
     values, weight = drive(formula, order, pick)
-    return RunResult(tuple(values), weight, tuple(steps), None)
+    return RunResult(tuple(values), weight, tuple(records), None)
 
 
 def run_greedy_sat(

@@ -28,7 +28,7 @@ from typing import Callable, Optional, Sequence
 
 from .bookkeep import LemmaViolation, drive
 from .formula import Formula
-from .greedy import RunResult, StepRecord
+from .greedy import RunResult
 
 
 @dataclass(frozen=True)
@@ -282,7 +282,7 @@ def run_lp_rounding(
     if sol is None:
         sol = solve_lp(build_relaxation(formula))
     y_star = [Fraction(v) for v in sol.y_star]
-    steps = []
+    records = []
     lp_start = lp_value(formula, y_star)
     d = math.lcm(*(y.denominator for y in y_star))
     y_d = [y.numerator * (d // y.denominator) for y in y_star]
@@ -337,9 +337,9 @@ def run_lp_rounding(
         moved = d * value - y
         for j, sign, _ in occ[v]:
             coverage[j] += sign * moved
-        steps.append(StepRecord(v, t2, f2, value, Fraction(value), None))
+        records.append((v, t2, f2, value, int(value), 1, None))
         lp_prev = lp_next
         return value
 
     values, weight = drive(formula, order, pick)
-    return RunResult(tuple(values), weight, tuple(steps), None)
+    return RunResult(tuple(values), weight, tuple(records), None)

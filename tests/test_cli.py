@@ -1,11 +1,14 @@
+import hashlib
+import io
 import json
+import sys
 from fractions import Fraction
 
 import pytest
 
 import maxsat34.cli as cli
 import maxsat34.oracle
-from maxsat34 import LemmaViolation, parse_dimacs, write_dimacs
+from maxsat34 import LemmaViolation, parse_dimacs, random_instance, write_dimacs
 from maxsat34.oracle import CheckRecord, LemmaReport
 
 UNIT = "p wcnf 1 1\n1 1 0\n"
@@ -84,6 +87,38 @@ def test_solve_parse_error(capsys, tmp_path):
     code, _, err = run(capsys, "solve", str(bad))
     assert code == 2
     assert "out of range" in err
+
+
+def test_solve_reads_stdin(capsys, monkeypatch):
+    # the first clause spans two lines; the second shares a line with its end
+    monkeypatch.setattr(sys, "stdin", io.StringIO("p cnf 2 2\n1\n2 0 -1 0\n"))
+    code, out, _ = run(capsys, "solve", "-", "--alg", "brute", "--format", "structured")
+    assert code == 0
+    report = json.loads(out)
+    assert (report["m"], report["weight"], report["assignment"]) == (2, 2, "01")
+
+
+# SHA-256 of `solve --trace --format structured` on write_dimacs of
+# random_instance(12, 30, 3, 10, seed=5), shuffled order, as first recorded;
+# rand34 and vanzuylen draw at 6 of the 12 steps
+TRACE_DIGESTS = {
+    "rand34": "27ab73028056e1355d047e46491da6f91d77c5314ee66deae3b87fe19ca3426c",
+    "vanzuylen": "ffe8f5a9016480176f4f07072593b4568c11eac2da8e484bfa5febab2faa18d0",
+    "greedy-sat": "aaeff4691b814cbd92c3b0fbfa09ca77e9b1e3726ccba5f82f04d2eca2f6f701",
+    "lp-round": "d9831bc448bd89039be4c0a98fae74913ed26fa8f9aef8f4357bd3a0f555cb27",
+}
+
+
+@pytest.mark.parametrize("alg", list(TRACE_DIGESTS))
+def test_solve_trace_bytes_are_pinned(capsys, tmp_path, alg):
+    path = tmp_path / "traced.wcnf"
+    path.write_text(write_dimacs(random_instance(12, 30, 3, 10, seed=5)))
+    code, out, _ = run(
+        capsys, "solve", str(path), "--alg", alg, "--seed", "9", "--order",
+        "shuffled", "--order-seed", "4", "--trace", "--format", "structured",
+    )
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == TRACE_DIGESTS[alg]
 
 
 def test_expectation_exact(capsys, unit_file):

@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -61,11 +63,52 @@ def test_parse_soft_clause_under_top_ok():
         ("3 -1 0\nh 1 2 0\n", NEW_STYLE),
         ("1 0\n", NEW_STYLE),
         ("p wcnf 2 2\nh 1 2 0\n3 -1 0\n", NEW_STYLE),
+        # int() takes these, DIMACS does not: only ASCII [+-]?[0-9]+
+        ("p cnf 10 1\n1_0 0\n", "line 2: expected integer, got '1_0'"),
+        ("p cnf 3 1\n\uff13 0\n", "line 2: expected integer, got '\uff13'"),
+        ("p cnf 1_0 1\n1 0\n", "line 1: expected integer, got '1_0'"),
+        ("p wcnf 2 1 1_0\n1 1 0\n", "line 1: expected integer, got '1_0'"),
     ],
 )
 def test_parse_errors(text, match):
     with pytest.raises(FormulaError, match=match):
         parse_dimacs(text)
+
+
+@pytest.mark.parametrize(
+    "text,message",
+    [
+        # a clause left open names the line where it began
+        ("p cnf 2 1\n1\nc x\n2\n", "line 2: clause not terminated by 0"),
+        ("p wcnf 2 1\n1 2 0 3\n1\n%\n", "line 2: clause not terminated by 0"),
+        ("p wcnf 1 1\n3\n0\n", "line 2: empty clause"),
+        # any other error names the line of the offending token
+        ("p cnf 2 1\n1\n-3 0\n", "line 3: literal -3 out of range"),
+        ("p cnf 2 1\n1\n2 x 0\n", "line 3: expected integer, got 'x'"),
+        ("p wcnf 2 2\n1 1 0\n-1 2 0\n", "line 3: negative weight -1"),
+        ("p wcnf 2 2 5\n1 1 0 5\n2 0\n", "line 2: hard clause"),
+    ],
+)
+def test_parse_error_names_line(text, message):
+    with pytest.raises(FormulaError, match=message):
+        parse_dimacs(text)
+
+
+@pytest.mark.parametrize(
+    "text,clauses",
+    [
+        # one clause split across lines
+        ("p cnf 2 1\n1 2\n0\n", [(1, {1, 2}, set())]),
+        # two clauses on one line
+        ("p cnf 2 2\n1 2 0 -1 0\n", [(1, {1, 2}, set()), (1, set(), {1})]),
+        ("p wcnf 2 2\n4\n1 2 0 1 -1\n\nc 0\n0\n", [(4, {1, 2}, set()), (1, set(), {1})]),
+        # the first token of a wcnf clause is its weight, even when it is 0
+        ("p wcnf 2 2\n0 1 0 3\n-2\n0\n", [(0, {1}, set()), (3, set(), {2})]),
+    ],
+)
+def test_parse_clauses_as_token_stream(text, clauses):
+    f = parse_dimacs(text)
+    assert [(c.weight, c.pos, c.neg) for c in f.clauses] == clauses
 
 
 def test_parse_ignores_comments_and_percent_suffix():
@@ -111,6 +154,42 @@ def test_formula_invariants_rejected():
 def test_roundtrip_random_instances(seed):
     f = random_instance(n=6, m=10, max_len=4, max_w=9, seed=seed)
     assert parse_dimacs(write_dimacs(f)) == f
+
+
+@given(st.integers(min_value=0, max_value=2**63 - 1), st.data())
+def test_roundtrip_reflowed_text(seed, data):
+    """Any layout of the clause tokens parses to the same formula: clauses
+    split across lines or joined on one, comment and blank lines between."""
+    f = random_instance(n=6, m=8, max_len=4, max_w=9, seed=seed)
+    header, *body = write_dimacs(f).splitlines()
+    tokens = " ".join(body).split()
+    gaps = data.draw(
+        st.lists(
+            st.sampled_from([" ", "\t", "\n", "\n\n", " \n  ", "\nc 1 0 x\n"]),
+            min_size=len(tokens),
+            max_size=len(tokens),
+        )
+    )
+    text = header + "\n" + "".join(t + g for t, g in zip(tokens, gaps))
+    assert parse_dimacs(text) == f
+
+
+# SHA-256 of write_dimacs(random_instance(*args)); every benchmark file is
+# made by these two functions, so their bytes must not move
+INSTANCE_DIGESTS = {
+    (2000, 4000, 3, 10, 1): "07322bcb8ef3f74184643291b46e5e3271aaa4180cf08170b84deb53992e25a7",
+    (2000, 4000, 3, 10, 2): "4c0030115ed479b8ed89030a1c136fa17e75e738758060e8db4d085455d45c25",
+    (2000, 4000, 3, 10, 3): "8fefa91a925bf6382da3d76d47164063e900b7ea556884a362f576850428527e",
+    (10, 30, 3, 10, 1): "ec3a69ea683ebc2416db5c491ee10eb558d48b4b1c2d12f5ef9baf8c610140ad",
+    (5, 17, 3, 10, 2): "a7e32aab306ef736feaca9a8551802b9be212d8800f8913ee265a3a43ae8cab6",
+    (1, 3, 1, 10, 3): "eafadb08bf8870a942749f365fcff386350ddda64e348efdcb9b3735243c35e5",
+}
+
+
+@pytest.mark.parametrize("args", list(INSTANCE_DIGESTS))
+def test_generated_instance_bytes_are_pinned(args):
+    text = write_dimacs(random_instance(*args))
+    assert hashlib.sha256(text.encode()).hexdigest() == INSTANCE_DIGESTS[args]
 
 
 def test_random_instance_deterministic():
