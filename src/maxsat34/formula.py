@@ -6,6 +6,7 @@ import operator
 import random
 from dataclasses import dataclass, field
 from functools import cached_property
+from math import ceil, log
 from typing import Iterable, NamedTuple, Sequence
 
 
@@ -67,12 +68,17 @@ class Formula:
         object.__setattr__(self, "clauses", tuple(self.clauses))
         if self.num_vars < 0:
             raise FormulaError("negative variable count")
-        for c in self.clauses:
-            for v in c.variables():
-                if not 1 <= v <= self.num_vars:
-                    raise FormulaError(
-                        f"variable {v} out of range 1..{self.num_vars}"
-                    )
+        used = frozenset().union(
+            *[c.pos for c in self.clauses], *[c.neg for c in self.clauses]
+        )
+        if used and (min(used) < 1 or max(used) > self.num_vars):
+            # the loop picks the variable the error names
+            for c in self.clauses:
+                for v in c.variables():
+                    if not 1 <= v <= self.num_vars:
+                        raise FormulaError(
+                            f"variable {v} out of range 1..{self.num_vars}"
+                        )
         object.__setattr__(
             self, "total_weight", sum(c.weight for c in self.clauses)
         )
@@ -149,16 +155,18 @@ def parse_dimacs(text: str | bytes) -> Formula:
     a clause may span lines and a line may hold several clauses.  In wcnf
     the first token of each clause is its weight, so "0 1 0" is a weight-0
     clause.  A token is an ASCII integer, [+-]?[0-9]+.  "c" comment lines
-    are ignored; a line consisting of "%" terminates the input.  In the
-    wcnf-with-top variant any clause of weight >= top is a hard clause and
-    is rejected.  The clauses before a "%" line must number exactly as the
-    header declares.  New-style (2022) WCNF, without a p line, is rejected
-    with a message that names it.  An error names the line of the
-    offending token; for a clause not terminated by 0, the line where the
-    clause began.
+    are ignored; a line consisting of "%" terminates the input, and any
+    other line that starts with "%" is an error.  One leading byte-order
+    mark (U+FEFF) is skipped.  In the wcnf-with-top variant any clause of
+    weight >= top is a hard clause and is rejected.  The clauses before a
+    "%" line must number exactly as the header declares.  New-style (2022)
+    WCNF, without a p line, is rejected with a message that names it.  An
+    error names the line of the offending token; for a clause not
+    terminated by 0, the line where the clause began.
     """
     if isinstance(text, bytes):
         text = text.decode("utf-8")
+    text = text.removeprefix("\ufeff")  # one byte-order mark
 
     header = None
     clauses: list[Clause] = []
@@ -170,7 +178,7 @@ def parse_dimacs(text: str | bytes) -> Formula:
         line = raw.strip()
         if not line or line[0] == "c":
             continue
-        if line[0] == "%":
+        if line == "%":
             break
         if line[0] == "p":
             if header is not None:
@@ -297,12 +305,44 @@ def random_instance(
         raise ValueError("max_len must be >= 1")
     if max_w < 1:
         raise ValueError("max_w must be >= 1")
-    rng = random.Random(seed)
-    randint, sample, bit = rng.randint, rng.sample, rng.getrandbits
-    variables, longest = range(1, n + 1), min(max_len, n)
+    # The draws of randint(1, longest), sample(range(1, n + 1), k), one
+    # sign bit per chosen variable and randint(1, max_w), as the standard
+    # library's algorithms make them, but straight from getrandbits: the
+    # bytes then rest on the Mersenne Twister alone.  Each draw below b is
+    # a getrandbits of b.bit_length() bits, redrawn until it is < b.
+    bits = random.Random(seed).getrandbits
+    longest = min(max_len, n)
+    n_bits, len_bits, w_bits = n.bit_length(), longest.bit_length(), max_w.bit_length()
     clauses = []
     for _ in range(m):
-        chosen = sample(variables, randint(1, longest))
-        lits = [v if bit(1) else -v for v in chosen]
-        clauses.append(_clause_from_literals(lits, randint(1, max_w)))
+        k = bits(len_bits)
+        while k >= longest:
+            k = bits(len_bits)
+        k += 1
+        if n <= 21 or (k > 5 and n <= 21 + 4 ** ceil(log(3 * k, 4))):
+            # sample's pool branch: swap each pick out of the shrinking pool
+            chosen, pool = [], list(range(1, n + 1))
+            for size in range(n, n - k, -1):
+                size_bits = size.bit_length()
+                j = bits(size_bits)
+                while j >= size:
+                    j = bits(size_bits)
+                chosen.append(pool[j])
+                pool[j] = pool[size - 1]
+        else:
+            # sample's set branch: redraw until the variable is new; the
+            # dict keeps the picks in order
+            chosen = {}
+            for _ in range(k):
+                v = bits(n_bits) + 1
+                while v > n or v in chosen:
+                    v = bits(n_bits) + 1
+                chosen[v] = None
+        pos, neg = [], []
+        for v in chosen:
+            (pos if bits(1) else neg).append(v)
+        w = bits(w_bits)
+        while w >= max_w:
+            w = bits(w_bits)
+        clauses.append(Clause(frozenset(pos), frozenset(neg), w + 1))
     return Formula(num_vars=n, clauses=tuple(clauses))

@@ -359,6 +359,38 @@ def test_corpus_writes_parseable_files(capsys, tmp_path):
         assert write_dimacs(f) == path.read_text()
 
 
+# SHA-256 of the files `corpus` writes, recorded when random_instance still
+# drew through random.Random.randint and sample: the corpus bytes must not
+# move.  CI compares the large corpus with the same digests by sha256sum.
+LARGE_CORPUS_DIGESTS = {
+    "instance_0000.wcnf": "1f58af4012344bb686015646973614308c82373bdcdc76f265aeebda84d6e184",
+    "instance_0001.wcnf": "4ea503781c779bdae03b496c44da7a1a438a127e1dced4b06f36e252ff04fd08",
+}
+# the 100 files of the default corpus, concatenated in name order
+DEFAULT_CORPUS_DIGEST = "f8b5d592ee21b2577cfcd1be11ec7314609b1e62f376e72c28c156d88ef1322a"
+
+
+def corpus_files(capsys, out_dir, *argv):
+    code, _, _ = run(capsys, "corpus", *argv, "--out-dir", str(out_dir))
+    assert code == 0
+    return sorted(out_dir.glob("*.wcnf"))
+
+
+def test_large_corpus_bytes_are_pinned(capsys, tmp_path):
+    files = corpus_files(
+        capsys, tmp_path, "--n", "2000", "--m", "4000", "--count", "2", "--seed", "1"
+    )
+    found = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in files}
+    assert found == LARGE_CORPUS_DIGESTS
+
+
+def test_default_corpus_bytes_are_pinned(capsys, tmp_path):
+    files = corpus_files(capsys, tmp_path)
+    assert len(files) == 100
+    joined = b"".join(path.read_bytes() for path in files)
+    assert hashlib.sha256(joined).hexdigest() == DEFAULT_CORPUS_DIGEST
+
+
 def test_out_path(capsys, tmp_path, unit_file):
     target = tmp_path / "report.json"
     code, out, _ = run(

@@ -68,6 +68,10 @@ def test_parse_soft_clause_under_top_ok():
         ("p cnf 3 1\n\uff13 0\n", "line 2: expected integer, got '\uff13'"),
         ("p cnf 1_0 1\n1 0\n", "line 1: expected integer, got '1_0'"),
         ("p wcnf 2 1 1_0\n1 1 0\n", "line 1: expected integer, got '1_0'"),
+        # only a line that is exactly "%" ends the input
+        ("p cnf 2 1\n1 0\n%junk 2 0\n-1 0\n", "line 3: expected integer, got '%junk'"),
+        # one byte-order mark is skipped, not two
+        ("\ufeff\ufeffp cnf 1 1\n1 0\n", "line 1: clause before header"),
     ],
 )
 def test_parse_errors(text, match):
@@ -116,6 +120,13 @@ def test_parse_ignores_comments_and_percent_suffix():
     assert f.num_clauses == 1
 
 
+@pytest.mark.parametrize(
+    "text", ["\ufeffp cnf 2 1\n1 -2 0\n", b"\xef\xbb\xbfp cnf 2 1\n1 -2 0\n"]
+)
+def test_parse_skips_byte_order_mark(text):
+    assert parse_dimacs(text) == formula(2, clause(pos=(1,), neg=(2,)))
+
+
 def test_parse_deduplicates_literals():
     f = parse_dimacs("p cnf 2 1\n1 1 -2 -2 0\n")
     assert f.clauses[0].pos == frozenset({1})
@@ -139,6 +150,20 @@ def test_tautological_clause_accepted():
     assert f.clauses[0].pos & f.clauses[0].neg  # x1 in both
     assert satisfied_weight(f, (True,)) == 1
     assert satisfied_weight(f, (False,)) == 1
+
+
+@pytest.mark.parametrize(
+    "clauses,message",
+    [
+        # two variables out of range in one clause: the error names 3
+        ((clause(pos=(1,)), clause(pos=(3,), neg=(5,))), "variable 3 out of range 1..2"),
+        ((clause(pos=(9, 4), neg=(0,)),), "variable 0 out of range 1..2"),
+        ((clause(pos=(1,)), clause(neg=(0,))), "variable 0 out of range 1..2"),
+    ],
+)
+def test_formula_range_error_names_variable(clauses, message):
+    with pytest.raises(FormulaError, match=f"^{message}$"):
+        formula(2, *clauses)
 
 
 def test_formula_invariants_rejected():
