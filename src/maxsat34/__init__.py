@@ -13,7 +13,6 @@ from .bookkeep import (
     TraceState,
     apply,
     new_trace,
-    recompute_sat_unsat,
     step_quantities,
 )
 from .formula import (
@@ -54,7 +53,6 @@ from .oracle import (
     brute_force_opt,
     check_lp_lemmas,
     check_randomized_lemmas,
-    enumerate_expectation,
     exact_expectation,
     monte_carlo_mean,
 )

@@ -198,20 +198,3 @@ def drive(
         value = values[v - 1] = pick(v, t2, f2, sums)
         weight += assign_occurrences(occ_v, clause_sat, clause_open, value)
     return values, weight
-
-
-def recompute_sat_unsat(
-    formula: Formula, values: Sequence[Optional[bool]]
-) -> tuple[int, int]:
-    """Full-rescan reference for (SAT_i, UNSAT_i); cross-checks the
-    incremental bookkeeping."""
-    sat = unsat = 0
-    for c in formula.clauses:
-        satisfied = any(values[v - 1] is True for v in c.pos) or any(
-            values[v - 1] is False for v in c.neg
-        )
-        if satisfied:
-            sat += c.weight
-        elif all(values[v - 1] is not None for v in c.variables()):
-            unsat += c.weight
-    return sat, unsat

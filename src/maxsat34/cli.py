@@ -19,10 +19,12 @@ ALGORITHMS = ("rand34", "vanzuylen", "lp-round", "greedy-sat", "greedy-unsat", "
 def _read_formula(path: str) -> fm.Formula:
     if path == "-":
         return fm.parse_dimacs(sys.stdin.read())
-    return fm.parse_dimacs(Path(path).read_text())
+    return fm.parse_dimacs(Path(path).read_bytes())  # no newline translation
 
 
 def _make_order(f: fm.Formula, order: str, order_seed: int) -> Optional[list[int]]:
+    if order_seed < 0:  # random.Random would alias it to -order_seed
+        raise ValueError(f"--order-seed must be >= 0, got {order_seed}")
     if order == "identity":
         return None
     perm = list(range(1, f.num_vars + 1))
@@ -119,8 +121,9 @@ def _assignment_str(values: Sequence[bool]) -> str:
 # the corpus parameters in report order, with their defaults for both
 # `verify --corpus` and the `corpus` command
 CORPUS_DEFAULTS = {"n": 8, "m": 20, "count": 100, "seed": 1, "max_len": 3, "max_w": 10}
-# the least value of each bounded corpus parameter; seed takes any integer
-CORPUS_MINIMUM = {"n": 1, "m": 1, "count": 0, "max_len": 1, "max_w": 1}
+# the least value of each corpus parameter; random.Random would alias a
+# negative seed to its absolute value
+CORPUS_MINIMUM = {"n": 1, "m": 1, "count": 0, "seed": 0, "max_len": 1, "max_w": 1}
 
 
 def _parse_corpus_spec(spec: str) -> dict:

@@ -4,8 +4,11 @@ from __future__ import annotations
 
 import operator
 import random
+import re
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, partial
+from itertools import accumulate
 from math import ceil, log
 from typing import Iterable, NamedTuple, Sequence
 
@@ -14,27 +17,40 @@ class FormulaError(ValueError):
     """Malformed formula or unparsable DIMACS input."""
 
 
-@dataclass(frozen=True)
-class Clause:
-    """A weighted clause: disjunction of positive literals (pos) and
-    negative literals (neg), with a nonnegative integer weight."""
-
-    pos: frozenset[int]
-    neg: frozenset[int]
+class _ClauseFields(NamedTuple):
+    pos: tuple[int, ...]
+    neg: tuple[int, ...]
     weight: int
 
-    def __post_init__(self) -> None:
-        if type(self.pos) is not frozenset:
-            object.__setattr__(self, "pos", frozenset(self.pos))
-        if type(self.neg) is not frozenset:
-            object.__setattr__(self, "neg", frozenset(self.neg))
-        if not self.pos and not self.neg:
+
+class Clause(_ClauseFields):
+    """A weighted clause: disjunction of positive literals (pos) and
+    negative literals (neg), each a sorted tuple of distinct variables,
+    with a nonnegative integer weight.  Clause(pos, neg, weight) takes any
+    iterables and sorts and de-duplicates them, so equal clauses are equal
+    tuples."""
+
+    __slots__ = ()
+
+    def __new__(cls, pos: Iterable[int], neg: Iterable[int], weight: int) -> Clause:
+        pos, neg = tuple(sorted(set(pos))), tuple(sorted(set(neg)))
+        if not pos and not neg:
             raise FormulaError("clause has no literals")
-        if self.weight < 0:
-            raise FormulaError(f"negative clause weight {self.weight}")
+        if weight < 0:
+            raise FormulaError(f"negative clause weight {weight}")
+        return tuple.__new__(cls, (pos, neg, weight))
+
+    @classmethod
+    def _make(cls, iterable: Iterable) -> Clause:  # _replace calls it too
+        return cls(*iterable)
 
     def variables(self) -> frozenset[int]:
-        return self.pos | self.neg
+        return frozenset(self.pos + self.neg)
+
+
+# _clause((pos, neg, weight)) builds a Clause from fields that are already
+# sorted, distinct and checked, without Clause.__new__'s work
+_clause = partial(tuple.__new__, Clause)
 
 
 # One occurrence of a variable: (clause index, sign, clause weight), where
@@ -68,10 +84,13 @@ class Formula:
         object.__setattr__(self, "clauses", tuple(self.clauses))
         if self.num_vars < 0:
             raise FormulaError("negative variable count")
-        used = frozenset().union(
-            *[c.pos for c in self.clauses], *[c.neg for c in self.clauses]
-        )
-        if used and (min(used) < 1 or max(used) > self.num_vars):
+        pos, neg, weights = zip(*self.clauses) if self.clauses else ((), (), ())
+        # each field is sorted: its first and last variables bound it
+        fields = tuple(filter(None, pos + neg))
+        if fields and (
+            min(map(operator.itemgetter(0), fields)) < 1
+            or max(map(operator.itemgetter(-1), fields)) > self.num_vars
+        ):
             # the loop picks the variable the error names
             for c in self.clauses:
                 for v in c.variables():
@@ -79,9 +98,7 @@ class Formula:
                         raise FormulaError(
                             f"variable {v} out of range 1..{self.num_vars}"
                         )
-        object.__setattr__(
-            self, "total_weight", sum(c.weight for c in self.clauses)
-        )
+        object.__setattr__(self, "total_weight", sum(weights))
 
     @property
     def num_clauses(self) -> int:
@@ -92,24 +109,21 @@ class Formula:
         """Occurrence triples and open-literal counts, built once."""
         occ: list[list[Occurrence]] = [[] for _ in range(self.num_vars + 1)]
         open_counts = []
-        for j, c in enumerate(self.clauses):
-            pos, neg, w = c.pos, c.neg, c.weight
-            if pos.isdisjoint(neg):
-                open_counts.append(len(pos) + len(neg))
-            else:
-                both = pos & neg
-                pos, neg = pos - both, neg - both
-                open_counts.append(len(pos) + len(neg) + len(both))
-                occ_j = (j, 0, w)
-                for v in both:
-                    occ[v].append(occ_j)
+        for j, (pos, neg, w) in enumerate(self.clauses):
             # one shared triple per (clause, sign) keeps the build cheap
-            occ_j = (j, 1, w)
+            occ_pos = (j, 1, w)
             for v in pos:
-                occ[v].append(occ_j)
-            occ_j = (j, -1, w)
+                occ[v].append(occ_pos)
+            occ_neg = (j, -1, w)
+            count = len(pos) + len(neg)
             for v in neg:
-                occ[v].append(occ_j)
+                occ_v = occ[v]
+                if occ_v and occ_v[-1] is occ_pos:  # v is in pos too
+                    occ_v[-1] = (j, 0, w)
+                    count -= 1
+                else:
+                    occ_v.append(occ_neg)
+            open_counts.append(count)
         return CompiledFormula(occ, tuple(open_counts))
 
 
@@ -136,55 +150,52 @@ def satisfied_weight(formula: Formula, values: Sequence[bool]) -> int:
     )
 
 
-def _clause_from_literals(lits: Iterable[int], weight: int) -> Clause:
-    pos: set[int] = set()
-    neg: set[int] = set()
-    for l in lits:
-        if l > 0:
-            pos.add(l)
-        else:
-            neg.add(-l)
-    return Clause(frozenset(pos), frozenset(neg), weight)
+# int() skips or takes these characters too; DIMACS separates tokens by
+# spaces and tabs only and has no digit groups
+_NOT_DIMACS = ("\r", "\v", "\f", "\x1c", "\x1d", "\x1e", "\x1f", "_")
+_INTEGER = re.compile(r"[+-]?[0-9]+")
+_SEPARATOR = re.compile(r"[ \t]+")
 
 
 def parse_dimacs(text: str | bytes) -> Formula:
-    """Parse DIMACS CNF (implicit unit weights) or old-style weighted CNF.
+    r"""Parse DIMACS CNF (implicit unit weights) or old-style weighted CNF.
 
-    Accepted headers: "p cnf n m" and "p wcnf n m [top]".  After the header
-    the clauses form one stream of integer tokens, each clause ended by 0:
-    a clause may span lines and a line may hold several clauses.  In wcnf
-    the first token of each clause is its weight, so "0 1 0" is a weight-0
-    clause.  A token is an ASCII integer, [+-]?[0-9]+.  "c" comment lines
-    are ignored; a line consisting of "%" terminates the input, and any
-    other line that starts with "%" is an error.  One leading byte-order
-    mark (U+FEFF) is skipped.  In the wcnf-with-top variant any clause of
-    weight >= top is a hard clause and is rejected.  The clauses before a
-    "%" line must number exactly as the header declares.  New-style (2022)
-    WCNF, without a p line, is rejected with a message that names it.  An
-    error names the line of the offending token; for a clause not
-    terminated by 0, the line where the clause began.
+    Accepted headers: "p cnf n m" and "p wcnf n m [top]".  Lines end at
+    "\n", and a "\r" just before it is dropped; tokens are separated by
+    spaces and tabs only.  After the header the clauses form one stream of
+    integer tokens, each clause ended by 0: a clause may span lines and a
+    line may hold several clauses.  In wcnf the first token of each clause
+    is its weight, so "0 1 0" is a weight-0 clause.  A token is an ASCII
+    integer, [+-]?[0-9]+; any other character in a header or clause line
+    is an error.  "c" comment lines are ignored and may hold anything; a
+    line consisting of "%" terminates the input, and any other line that
+    starts with "%" is an error.  One leading byte-order mark (U+FEFF) is
+    skipped.  In the wcnf-with-top variant any clause of weight >= top is a
+    hard clause and is rejected.  The clauses before a "%" line must
+    number exactly as the header declares.  New-style (2022) WCNF, without
+    a p line, is rejected with a message that names it.  An error names
+    the line of the offending token; for a clause not terminated by 0, the
+    line where the clause began.
     """
     if isinstance(text, bytes):
         text = text.decode("utf-8")
-    text = text.removeprefix("\ufeff")  # one byte-order mark
+    text = text.removeprefix("\ufeff").replace("\r\n", "\n")
 
     header = None
-    clauses: list[Clause] = []
-    lits: list[int] = []  # literals read so far of the open clause
-    weight = None  # weight of the open clause; None when no clause is open
-    start = 0  # line where the open clause began
-
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
+    body: list[str] = []  # the clause lines after the header, stripped
+    linenos: list[int] = []  # the line number of each
+    stop = None  # an error that ends the clause lines, raised after them
+    for lineno, line in enumerate(text.split("\n"), start=1):
+        line = line.strip(" \t")
         if not line or line[0] == "c":
             continue
         if line == "%":
             break
         if line[0] == "p":
             if header is not None:
-                raise FormulaError(f"line {lineno}: duplicate header")
+                stop = FormulaError(f"line {lineno}: duplicate header")
+                break
             header = _parse_header(line, lineno)
-            num_vars, declared, weighted, top = header
             continue
         if header is None:
             raise FormulaError(
@@ -192,51 +203,66 @@ def parse_dimacs(text: str | bytes) -> Formula:
                 " WCNF, with no p line and h for hard clauses, is not"
                 " supported"
             )
-
-        tokens = line.split()
-        try:
-            # int() also takes "1_0" and non-ASCII digits; DIMACS does not
-            if not line.isascii() or "_" in line:
-                raise ValueError
-            nums = list(map(int, tokens))
-        except ValueError:  # _parse_int names the first bad token
-            nums = [_parse_int(t, lineno) for t in tokens]
-        i, end = 0, len(nums)
-        while i < end:
-            if weight is None:  # a clause begins at token i
-                start, weight = lineno, 1
-                if weighted:
-                    weight = nums[i]
-                    if weight < 0:
-                        raise FormulaError(f"line {lineno}: negative weight {weight}")
-                    if top is not None and weight >= top:
-                        raise FormulaError(
-                            f"line {lineno}: hard clause (weight {weight} >= top"
-                            f" {top}) unsupported"
-                        )
-                    i += 1
-                    continue
-            try:
-                stop = nums.index(0, i)
-            except ValueError:
-                stop = end
-            chunk = nums[i:stop]
-            if chunk and (min(chunk) < -num_vars or max(chunk) > num_vars):
-                bad = next(l for l in chunk if not -num_vars <= l <= num_vars)
-                raise FormulaError(f"line {lineno}: literal {bad} out of range")
-            lits += chunk
-            if stop == end:
-                break
-            if not lits:
-                raise FormulaError(f"line {start}: empty clause")
-            clauses.append(_clause_from_literals(lits, weight))
-            lits, weight = [], None
-            i = stop + 1
-
+        body.append(line)
+        linenos.append(lineno)
     if header is None:
         raise FormulaError("missing DIMACS header")
-    if weight is not None:
-        raise FormulaError(f"line {start}: clause not terminated by 0")
+    num_vars, declared, weighted, top = header
+
+    joined = " ".join(body)
+    try:
+        if not joined.isascii() or any(ch in joined for ch in _NOT_DIMACS):
+            raise ValueError
+        nums = list(map(int, joined.split()))
+    except ValueError:  # only the lines before the first bad token are read
+        nums, stop = _ints_before_bad_token(body, linenos, stop)
+
+    def line_of(index: int) -> int:  # of a token, found only for an error
+        ends = accumulate(len(_SEPARATOR.split(line)) for line in body)
+        return linenos[bisect_right(list(ends), index)]
+
+    # in wcnf the weights count too, so a weight above num_vars only costs
+    # the check of every literal
+    check_range = nums and (min(nums) < -num_vars or max(nums) > num_vars)
+    clauses = []
+    i, end = 0, len(nums)
+    while i < end:
+        first, weight = i, 1  # the clause begins at token i
+        if weighted:
+            weight = nums[i]
+            if weight < 0:
+                raise FormulaError(f"line {line_of(i)}: negative weight {weight}")
+            if top is not None and weight >= top:
+                raise FormulaError(
+                    f"line {line_of(i)}: hard clause (weight {weight} >= top"
+                    f" {top}) unsupported"
+                )
+            i += 1
+        try:
+            zero = nums.index(0, i)
+        except ValueError:
+            zero = end
+        lits = nums[i:zero]
+        if check_range:
+            for k, l in enumerate(lits, i):
+                if not -num_vars <= l <= num_vars:
+                    raise FormulaError(f"line {line_of(k)}: literal {l} out of range")
+        if zero == end:
+            raise stop or FormulaError(
+                f"line {line_of(first)}: clause not terminated by 0"
+            )
+        if not lits:
+            raise FormulaError(f"line {line_of(first)}: empty clause")
+        if len(set(lits)) < len(lits):  # a literal repeats
+            lits = list(set(lits))
+        lits.sort()  # the negative literals, then the positive ones
+        k = bisect_left(lits, 0)
+        neg = tuple(map(operator.neg, lits[k - 1::-1])) if k else ()
+        clauses.append(_clause((tuple(lits[k:]), neg, weight)))
+        i = zero + 1
+
+    if stop is not None:
+        raise stop
     if len(clauses) != declared:
         raise FormulaError(
             f"header declares {declared} clauses, found {len(clauses)}"
@@ -244,9 +270,23 @@ def parse_dimacs(text: str | bytes) -> Formula:
     return Formula(num_vars=num_vars, clauses=tuple(clauses))
 
 
+def _ints_before_bad_token(
+    body: list[str], linenos: list[int], stop: FormulaError | None
+) -> tuple[list[int], FormulaError | None]:
+    """The integers of the clause lines before the line of the first bad
+    token, and that token's error (stop if every token is an integer)."""
+    nums: list[int] = []
+    for line, lineno in zip(body, linenos):
+        try:
+            nums += [_parse_int(t, lineno) for t in _SEPARATOR.split(line)]
+        except FormulaError as exc:
+            return nums, exc
+    return nums, stop
+
+
 def _parse_header(line: str, lineno: int) -> tuple[int, int, bool, int | None]:
     """(num_vars, declared clauses, weighted, top) of a "p" line."""
-    parts = line.split()
+    parts = _SEPARATOR.split(line)
     if len(parts) < 4 or parts[0] != "p":
         raise FormulaError(f"line {lineno}: malformed header {line!r}")
     top = None
@@ -269,11 +309,8 @@ def _parse_header(line: str, lineno: int) -> tuple[int, int, bool, int | None]:
 
 def _parse_int(token: str, lineno: int) -> int:
     """The value of a DIMACS integer token, [+-]?[0-9]+ in ASCII."""
-    if token.isascii() and "_" not in token:
-        try:
-            return int(token)
-        except ValueError:
-            pass
+    if _INTEGER.fullmatch(token):
+        return int(token)
     if token == "h":
         raise FormulaError(
             f"line {lineno}: h hard-clause line; new-style (2022) WCNF"
@@ -286,7 +323,7 @@ def write_dimacs(formula: Formula) -> str:
     """Emit old-style wcnf text; parse_dimacs(write_dimacs(f)) == f."""
     lines = [f"p wcnf {formula.num_vars} {formula.num_clauses}"]
     for c in formula.clauses:
-        tokens = [c.weight, *sorted(c.pos), *map(operator.neg, sorted(c.neg)), 0]
+        tokens = [c.weight, *c.pos, *map(operator.neg, c.neg), 0]
         lines.append(" ".join(map(str, tokens)))
     return "\n".join(lines) + "\n"
 
@@ -296,7 +333,8 @@ def random_instance(
 ) -> Formula:
     """Deterministic random formula: m clauses over n variables, clause
     length uniform in 1..min(max_len, n), distinct variables per clause,
-    uniform signs, weights uniform in 1..max_w."""
+    uniform signs, weights uniform in 1..max_w.  The seed must be >= 0:
+    random.Random seeds from its absolute value, so -s would alias s."""
     if n < 1:
         raise ValueError("n must be >= 1")
     if m < 0:
@@ -305,6 +343,8 @@ def random_instance(
         raise ValueError("max_len must be >= 1")
     if max_w < 1:
         raise ValueError("max_w must be >= 1")
+    if seed < 0:
+        raise ValueError("seed must be >= 0")
     # The draws of randint(1, longest), sample(range(1, n + 1), k), one
     # sign bit per chosen variable and randint(1, max_w), as the standard
     # library's algorithms make them, but straight from getrandbits: the
@@ -344,5 +384,7 @@ def random_instance(
         w = bits(w_bits)
         while w >= max_w:
             w = bits(w_bits)
-        clauses.append(Clause(frozenset(pos), frozenset(neg), w + 1))
+        pos.sort()
+        neg.sort()
+        clauses.append(_clause((tuple(pos), tuple(neg), w + 1)))
     return Formula(num_vars=n, clauses=tuple(clauses))

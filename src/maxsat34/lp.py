@@ -61,8 +61,8 @@ class LpSolution:
 def build_relaxation(formula: Formula) -> LpModel:
     return LpModel(
         num_y=formula.num_vars,
-        clause_pos=tuple(tuple(sorted(c.pos)) for c in formula.clauses),
-        clause_neg=tuple(tuple(sorted(c.neg)) for c in formula.clauses),
+        clause_pos=tuple(c.pos for c in formula.clauses),
+        clause_neg=tuple(c.neg for c in formula.clauses),
         weights=tuple(c.weight for c in formula.clauses),
     )
 

@@ -16,14 +16,13 @@ from fractions import Fraction
 from typing import Callable, Optional, Sequence
 
 from . import greedy
-from .bookkeep import TraceState, apply, drive, new_trace, step_quantities
+from .bookkeep import TraceState, apply, new_trace, step_quantities
 from .formula import Assignment, Formula, satisfied_weight
 from .greedy import run_weight
 from .lp import LpSolution, build_relaxation, run_lp_rounding, solve_lp
 
 BRUTE_FORCE_LIMIT = 20
 EXPECTATION_LIMIT = 15
-ENUMERATION_LIMIT = 6
 
 
 class LimitError(ValueError):
@@ -176,33 +175,6 @@ def exact_expectation(
     return ExpectationReport(
         expectation=expectation, opt=opt, ratio=ratio, node_count=nodes
     )
-
-
-def enumerate_expectation(
-    formula: Formula, order: Optional[Sequence[int]] = None
-) -> Fraction:
-    """Independent cross-check of exact_expectation: sums probability *
-    weight over all 2^n leaf assignments, replaying each path from scratch
-    with explicit probability products."""
-    n = formula.num_vars
-    if n > ENUMERATION_LIMIT:
-        raise LimitError(
-            f"n = {n} exceeds path-enumeration limit {ENUMERATION_LIMIT}"
-        )
-    total = Fraction(0)
-    for code in range(1 << n):
-        values = tuple(bool(code >> i & 1) for i in range(n))
-        prob = Fraction(1)
-
-        def follow(v, t2, f2, sums):
-            nonlocal prob
-            prob *= dict(_branches(t2, f2)).get(values[v - 1], 0)
-            return values[v - 1]
-
-        drive(formula, order, follow)
-        if prob:
-            total += prob * satisfied_weight(formula, values)
-    return total
 
 
 def monte_carlo_mean(

@@ -9,11 +9,12 @@ from maxsat34 import (
     build_relaxation,
     lp_value,
     random_instance,
-    recompute_sat_unsat,
     run_lp_rounding,
     satisfied_weight,
     solve_lp,
 )
+
+from reference_oracles import recompute_sat_unsat
 
 CORPUS_SEED = 20260823
 

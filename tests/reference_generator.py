@@ -11,8 +11,7 @@ from __future__ import annotations
 
 import random
 
-from maxsat34 import Formula
-from maxsat34.formula import _clause_from_literals
+from maxsat34 import Clause, Formula
 
 
 def reference_instance(n: int, m: int, max_len: int, max_w: int, seed: int) -> Formula:
@@ -24,6 +23,8 @@ def reference_instance(n: int, m: int, max_len: int, max_w: int, seed: int) -> F
         raise ValueError("max_len must be >= 1")
     if max_w < 1:
         raise ValueError("max_w must be >= 1")
+    if seed < 0:
+        raise ValueError("seed must be >= 0")
     rng = random.Random(seed)
     randint, sample, bit = rng.randint, rng.sample, rng.getrandbits
     variables, longest = range(1, n + 1), min(max_len, n)
@@ -31,5 +32,6 @@ def reference_instance(n: int, m: int, max_len: int, max_w: int, seed: int) -> F
     for _ in range(m):
         chosen = sample(variables, randint(1, longest))
         lits = [v if bit(1) else -v for v in chosen]
-        clauses.append(_clause_from_literals(lits, randint(1, max_w)))
+        pos, neg = [l for l in lits if l > 0], [-l for l in lits if l < 0]
+        clauses.append(Clause(pos, neg, randint(1, max_w)))
     return Formula(num_vars=n, clauses=tuple(clauses))

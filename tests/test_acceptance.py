@@ -14,7 +14,6 @@ from maxsat34 import (
     build_relaxation,
     check_lp_lemmas,
     check_randomized_lemmas,
-    enumerate_expectation,
     exact_expectation,
     lp_value,
     monte_carlo_mean,
@@ -31,6 +30,8 @@ from maxsat34 import (
 )
 from maxsat34.bookkeep import apply
 from maxsat34.greedy import decide, splitmix64
+
+from reference_oracles import enumerate_expectation
 
 THREE_QUARTERS = Fraction(3, 4)
 

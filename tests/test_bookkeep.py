@@ -12,7 +12,6 @@ from maxsat34 import (
     apply,
     brute_force_opt,
     new_trace,
-    recompute_sat_unsat,
     run_randomized,
     run_vanzuylen,
     run_weight,
@@ -23,6 +22,7 @@ from maxsat34.bookkeep import drive, step_deltas
 from maxsat34.greedy import splitmix64
 
 from conftest import clause, formula, rescan_deltas, scan_optimum
+from reference_oracles import recompute_sat_unsat
 
 
 def test_new_trace_initial_state():

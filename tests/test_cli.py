@@ -152,6 +152,15 @@ def test_expectation_rejects_negative_trials(capsys, unit_file):
     assert "--trials must be >= 0, got -5" in err
 
 
+@pytest.mark.parametrize("command", ["solve", "expectation"])
+def test_negative_order_seed_is_rejected(capsys, unit_file, command):
+    code, out, err = run(
+        capsys, command, unit_file, "--order", "shuffled", "--order-seed", "-7"
+    )
+    assert (code, out) == (2, "")
+    assert err == "error: --order-seed must be >= 0, got -7\n"
+
+
 def test_verify_single_instance(capsys, unit_file):
     code, out, _ = run(capsys, "verify", unit_file)
     assert code == 0
@@ -232,6 +241,9 @@ def test_verify_failure_names_the_inequality(capsys, unit_file, monkeypatch):
         (["verify", "--corpus", "n=2,m=3,n=4"], "n is given twice"),
         (["verify", "unit.wcnf", "--corpus", "n=2"],
          "verify takes files or --corpus, not both"),
+        # random.Random would read seed -1 as seed 1
+        (["verify", "--corpus", "seed=-1"], "seed must be >= 0, got -1"),
+        (["corpus", "--seed", "-1"], "seed must be >= 0, got -1"),
     ],
 )
 def test_corpus_spec_out_of_range_is_rejected(capsys, tmp_path, argv, message):
@@ -337,6 +349,25 @@ def test_missing_file_is_an_error(capsys, tmp_path, command):
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
     assert missing in err
+
+
+@pytest.mark.parametrize(
+    "data, result",
+    [
+        # a comment line holds everything up to its \n; CRLF reads as LF
+        (b"c note\x1c1 0\r\np wcnf 2 2\r\n3 1 -2 0\r\n4 2 0\r\n", 7),
+        # a file's bytes reach the parser untranslated: a lone \r ends no line
+        (b"p cnf 2 1\r1 -2 0\n", "error: line 1: malformed cnf header\n"),
+    ],
+)
+def test_solve_reads_the_file_bytes(capsys, tmp_path, data, result):
+    path = tmp_path / "crlf.wcnf"
+    path.write_bytes(data)
+    code, out, err = run(capsys, "solve", "--alg", "brute", str(path), "--format", "structured")
+    if isinstance(result, int):
+        assert code == 0 and json.loads(out)["weight"] == result
+    else:
+        assert (code, out, err) == (2, "", result)
 
 
 def test_verify_needs_input(capsys):

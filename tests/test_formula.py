@@ -21,17 +21,17 @@ def test_parse_plain_cnf():
     f = parse_dimacs("p cnf 2 2\n1 2 0\n-1 0\n")
     assert f.num_vars == 2
     assert f.num_clauses == 2
-    assert f.clauses[0].pos == frozenset({1, 2})
-    assert f.clauses[0].neg == frozenset()
+    assert f.clauses[0].pos == (1, 2)
+    assert f.clauses[0].neg == ()
     assert f.clauses[0].weight == 1
-    assert f.clauses[1].neg == frozenset({1})
+    assert f.clauses[1].neg == (1,)
     assert f.total_weight == 2
 
 
 def test_parse_weighted():
     f = parse_dimacs("p wcnf 1 1\n3 1 0\n")
     assert f.num_vars == 1
-    assert f.clauses[0].pos == frozenset({1})
+    assert f.clauses[0].pos == (1,)
     assert f.clauses[0].weight == 3
     assert f.total_weight == 3
 
@@ -72,6 +72,15 @@ def test_parse_soft_clause_under_top_ok():
         ("p cnf 2 1\n1 0\n%junk 2 0\n-1 0\n", "line 3: expected integer, got '%junk'"),
         # one byte-order mark is skipped, not two
         ("\ufeff\ufeffp cnf 1 1\n1 0\n", "line 1: clause before header"),
+        # lines end only at \n and tokens are separated only by spaces and
+        # tabs: a comment line holds everything up to its \n, and any other
+        # character in a header or clause line is an error
+        ("p cnf 2 1\nc note\x1c1 -2 0\n", "header declares 1 clauses, found 0"),
+        ("p cnf 2 1\n1\x1f2 0\n", r"line 2: expected integer, got '1\\x1f2'"),
+        ("p cnf 1 1\n\x0c\n1 0\n", r"line 2: expected integer, got '\\x0c'"),
+        ("p cnf 2 1\n1\u20282 0\n", r"line 2: expected integer, got '1\\u20282'"),
+        ("p cnf 2 1\n1 -2 0\r", r"line 2: expected integer, got '0\\r'"),
+        ("p cnf\x1f2 1\n1 0\n", "line 1: malformed header"),
     ],
 )
 def test_parse_errors(text, match):
@@ -102,12 +111,12 @@ def test_parse_error_names_line(text, message):
     "text,clauses",
     [
         # one clause split across lines
-        ("p cnf 2 1\n1 2\n0\n", [(1, {1, 2}, set())]),
+        ("p cnf 2 1\n1 2\n0\n", [(1, (1, 2), ())]),
         # two clauses on one line
-        ("p cnf 2 2\n1 2 0 -1 0\n", [(1, {1, 2}, set()), (1, set(), {1})]),
-        ("p wcnf 2 2\n4\n1 2 0 1 -1\n\nc 0\n0\n", [(4, {1, 2}, set()), (1, set(), {1})]),
+        ("p cnf 2 2\n1 2 0 -1 0\n", [(1, (1, 2), ()), (1, (), (1,))]),
+        ("p wcnf 2 2\n4\n1 2 0 1 -1\n\nc 0\n0\n", [(4, (1, 2), ()), (1, (), (1,))]),
         # the first token of a wcnf clause is its weight, even when it is 0
-        ("p wcnf 2 2\n0 1 0 3\n-2\n0\n", [(0, {1}, set()), (3, set(), {2})]),
+        ("p wcnf 2 2\n0 1 0 3\n-2\n0\n", [(0, (1,), ()), (3, (), (2,))]),
     ],
 )
 def test_parse_clauses_as_token_stream(text, clauses):
@@ -127,10 +136,15 @@ def test_parse_skips_byte_order_mark(text):
     assert parse_dimacs(text) == formula(2, clause(pos=(1,), neg=(2,)))
 
 
+def test_parse_drops_the_cr_of_crlf():
+    text = "c crlf\x1c\r\np cnf 2 1\r\n1 -2 0\r\n"
+    assert parse_dimacs(text) == formula(2, clause(pos=(1,), neg=(2,)))
+
+
 def test_parse_deduplicates_literals():
     f = parse_dimacs("p cnf 2 1\n1 1 -2 -2 0\n")
-    assert f.clauses[0].pos == frozenset({1})
-    assert f.clauses[0].neg == frozenset({2})
+    assert f.clauses[0].pos == (1,)
+    assert f.clauses[0].neg == (2,)
 
 
 def test_parse_keeps_zero_weight_clause():
@@ -147,7 +161,7 @@ def test_write_examples():
 
 def test_tautological_clause_accepted():
     f = parse_dimacs("p cnf 1 1\n1 -1 0\n")
-    assert f.clauses[0].pos & f.clauses[0].neg  # x1 in both
+    assert f.clauses[0].pos == f.clauses[0].neg == (1,)  # x1 in both
     assert satisfied_weight(f, (True,)) == 1
     assert satisfied_weight(f, (False,)) == 1
 

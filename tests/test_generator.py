@@ -17,14 +17,15 @@ NS = st.integers(1, 60) | st.sampled_from([85, 86, 200, 2000])
 MAX_LENS = st.integers(1, 12) | st.integers(13, 100)
 # non-powers of two need a redraw in getrandbits-based sampling
 MAX_WS = st.integers(1, 1000) | st.sampled_from([3, 5, 7, 1 << 40, (1 << 40) + 1])
-SEEDS = st.integers(-(2**63), 2**63 - 1)
+# random.Random seeds from |seed|, so both generators reject a negative one
+SEEDS = st.integers(0, 2**63 - 1)
 
 
 @given(NS, st.integers(0, 40), MAX_LENS, MAX_WS, SEEDS)
 @example(1, 0, 1, 1, 0)
-@example(1, 5, 1, 1, -1)
+@example(1, 5, 1, 1, 1)
 @example(21, 30, 12, 10, 2**63 - 1)
-@example(22, 30, 5, 10, -(2**63))
+@example(22, 30, 5, 10, 0)
 @example(60, 30, 12, 1000, 12345)
 @example(85, 30, 12, 10, 3)
 @example(200, 30, 12, 999, 7)
@@ -42,6 +43,8 @@ def test_random_instance_matches_reference(n, m, max_len, max_w, seed):
         ((1, -1, 1, 1, 0), "m must be >= 0"),
         ((1, 1, 0, 1, 0), "max_len must be >= 1"),
         ((1, 1, 1, 0, 0), "max_w must be >= 1"),
+        ((5, 3, 3, 10, -7), "seed must be >= 0"),
+        ((1, 1, 1, 1, -(2**63)), "seed must be >= 0"),
     ],
 )
 def test_random_instance_rejects_like_reference(args, message):

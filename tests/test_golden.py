@@ -174,7 +174,7 @@ def test_golden_vectors_cover_edge_cases():
     golden = load_golden()
     formulas = [parse_dimacs(text) for text in golden["cases"].values()]
     clauses = [c for f in formulas for c in f.clauses]
-    assert any(c.pos & c.neg for c in clauses)  # a tautological clause
+    assert any(set(c.pos) & set(c.neg) for c in clauses)  # a tautological clause
     assert any(c.weight == 0 for c in clauses)
     assert any(c.weight >= BIG for c in clauses)
     assert any(len(set(f.clauses)) < len(f.clauses) for f in formulas)

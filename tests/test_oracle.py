@@ -9,12 +9,12 @@ from maxsat34 import (
     brute_force_opt,
     check_lp_lemmas,
     check_randomized_lemmas,
-    enumerate_expectation,
     exact_expectation,
     monte_carlo_mean,
 )
 
 from conftest import clause, formula
+from reference_oracles import enumerate_expectation
 
 
 def test_brute_force_tie_breaks_low():

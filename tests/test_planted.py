@@ -22,14 +22,12 @@ from maxsat34 import (
     bookkeep,
     build_relaxation,
     check_randomized_lemmas,
-    enumerate_expectation,
     exact_expectation,
     greedy,
     lp,
     lp_value,
     new_trace,
     oracle,
-    recompute_sat_unsat,
     run_randomized,
     run_vanzuylen,
     run_weight,
@@ -37,6 +35,7 @@ from maxsat34 import (
 )
 
 from conftest import rescan_deltas, rounding_matches_rescan, scan_optimum
+from reference_oracles import enumerate_expectation, recompute_sat_unsat
 from test_golden import compute_records, load_golden
 
 SEEDS = range(3)
