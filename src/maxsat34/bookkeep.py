@@ -6,15 +6,16 @@ Decisions need only t_i and f_i, the changes of the midpoint bound B_i,
 kept doubled so all quantities stay exact integers.
 step_deltas is the counting kernel of every step: it holds the only t2/f2
 derivation and the only Lemma 1 check, and returns the sums (taut, W, Wbar,
-F, Fbar) from which the alpha rule and the greedy baselines decide.  drive
-is the sequential driver; TraceState, step_quantities and apply serve the
-decision-tree walk of the oracles.
+F, Fbar) from which the alpha rule and the greedy baselines decide.
+assign_occurrences sets a variable.  greedy.drive runs the two along one
+order; TraceState, step_quantities and apply serve the decision-tree walk
+of the oracles.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 from .formula import Formula, Occurrence
 
@@ -177,24 +178,3 @@ def apply(state: TraceState, value: bool) -> TraceState:
     state.prefix += 1
     return state
 
-
-def drive(
-    formula: Formula,
-    order: Optional[Sequence[int]],
-    pick: Callable[[int, int, int, tuple[int, int, int, int, int]], bool],
-) -> tuple[list[bool], int]:
-    """Sets the variables one by one in order, each to the value
-    pick(v, t2, f2, sums) returns, with (t2, f2, sums) from step_deltas;
-    returns (values, satisfied weight).  The one sequential driver of every
-    recorded algorithm."""
-    occ, open_counts = formula.compiled
-    clause_sat = [False] * len(open_counts)
-    clause_open = list(open_counts)
-    values = [False] * formula.num_vars
-    weight = 0
-    for v in check_order(formula.num_vars, order):
-        occ_v = occ[v]
-        t2, f2, sums = step_deltas(v, occ_v, clause_sat, clause_open)
-        value = values[v - 1] = pick(v, t2, f2, sums)
-        weight += assign_occurrences(occ_v, clause_sat, clause_open, value)
-    return values, weight

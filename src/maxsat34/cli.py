@@ -32,6 +32,13 @@ def _make_order(f: fm.Formula, order: str, order_seed: int) -> Optional[list[int
     return perm
 
 
+def _check_seed(seed: int, count: int) -> None:
+    # SplitMix64 reads a seed mod 2^64: an alias would replay the same draws
+    # under another reported seed, so seed .. seed + count - 1 must fit
+    if not 0 <= seed <= (1 << 64) - count:
+        raise ValueError(f"--seed must be in 0..{(1 << 64) - count}, got {seed}")
+
+
 def _frac(x) -> str:
     return str(Fraction(x))
 
@@ -70,6 +77,7 @@ def _render_text(node, prefix="") -> str:
 
 
 def cmd_solve(args) -> int:
+    _check_seed(args.seed, 1)
     f = _read_formula(args.input)
     order = _make_order(f, args.order, args.order_seed)
     report: dict = {"algorithm": args.alg, "n": f.num_vars, "m": f.num_clauses,
@@ -254,6 +262,7 @@ def cmd_verify(args) -> int:
 def cmd_expectation(args) -> int:
     if args.trials < 0:
         raise ValueError(f"--trials must be >= 0, got {args.trials}")
+    _check_seed(args.seed, args.trials)
     f = _read_formula(args.input)
     order = _make_order(f, args.order, args.order_seed)
     exp = oracle.exact_expectation(f, order)
@@ -265,7 +274,7 @@ def cmd_expectation(args) -> int:
     }
     if args.trials:
         mean, se = oracle.monte_carlo_mean(
-            f, order, trials=args.trials, base_seed=args.seed or 0
+            f, order, trials=args.trials, base_seed=args.seed
         )
         report["trials"] = args.trials
         report["empirical_mean"] = repr(mean)

@@ -7,7 +7,8 @@ the decision-tree walk of the oracles.  run_vanzuylen drives the same
 process through the alpha quantity, computed on its own from the kernel's
 sums, and produces identical traces; run_greedy_sat and run_greedy_unsat
 are the two deterministic baselines it balances.  Every run_* except
-run_weight is a pick rule for bookkeep.drive.
+run_weight is only a pick rule, returning P[x_v = true], for drive, which
+alone draws, records and builds the RunResult.
 """
 
 from __future__ import annotations
@@ -15,9 +16,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Iterator, Optional, Sequence
+from typing import Callable, Iterator, Optional, Sequence
 
-from .bookkeep import assign_occurrences, check_order, drive, step_deltas
+from .bookkeep import assign_occurrences, check_order, step_deltas
 from .formula import Assignment, Formula
 
 _MASK64 = (1 << 64) - 1
@@ -87,6 +88,39 @@ def decide(t2: int, f2: int) -> tuple[int, int]:
     return t2, t2 + f2
 
 
+def drive(
+    formula: Formula,
+    order: Optional[Sequence[int]],
+    pick: Callable[[int, int, int, tuple[int, int, int, int, int]], tuple[int, int]],
+    seed: Optional[int] = None,
+) -> RunResult:
+    """The one sequential driver of every recorded algorithm: sets each
+    variable in order true with probability num/den, where (num, den) =
+    pick(v, t2, f2, sums) of step_deltas.  den == 1 sets x_v = (num == 1)
+    with no draw; den >= 2 draws the next word of splitmix64(seed)."""
+    occ, open_counts = formula.compiled
+    clause_sat = [False] * len(open_counts)
+    clause_open = list(open_counts)
+    values = [False] * formula.num_vars
+    words = None if seed is None else splitmix64(seed)
+    records = []
+    weight = 0
+    for v in check_order(formula.num_vars, order):
+        occ_v = occ[v]
+        t2, f2, sums = step_deltas(v, occ_v, clause_sat, clause_open)
+        num, den = pick(v, t2, f2, sums)
+        if den == 1:
+            value, word = num == 1, None
+        else:
+            # draw < num/den with draw = word/2^64, compared exactly
+            word = next(words)
+            value = word * den < num * _TWO64
+        values[v - 1] = value
+        records.append((v, t2, f2, value, num, den, word))
+        weight += assign_occurrences(occ_v, clause_sat, clause_open, value)
+    return RunResult(tuple(values), weight, tuple(records), seed)
+
+
 def run_randomized(
     formula: Formula,
     order: Optional[Sequence[int]] = None,
@@ -95,22 +129,7 @@ def run_randomized(
     """One run of the randomized algorithm; pure function of
     (formula, order, seed).  Deterministic steps consume no random words,
     keeping traces aligned with run_vanzuylen."""
-    words = splitmix64(seed)
-    records = []
-
-    def pick(v, t2, f2, sums):
-        num, den = decide(t2, f2)
-        if den == 1:
-            value, word = num == 1, None
-        else:
-            # draw < num/den with draw = word/2^64, compared exactly
-            word = next(words)
-            value = word * den < num * _TWO64
-        records.append((v, t2, f2, value, num, den, word))
-        return value
-
-    values, weight = drive(formula, order, pick)
-    return RunResult(tuple(values), weight, tuple(records), seed)
+    return drive(formula, order, lambda v, t2, f2, sums: decide(t2, f2), seed)
 
 
 def run_vanzuylen(
@@ -123,28 +142,18 @@ def run_vanzuylen(
     clause tautological in the variable counts in both F and Fbar.
     Equivalent to run_randomized step by step; a zero alpha denominator is
     resolved from the signs of t2/f2."""
-    words = splitmix64(seed)
-    records = []
 
     def pick(v, t2, f2, sums):
         taut, w_pos, w_neg, f_pos, f_neg = sums
         num, den = w_pos + f_pos + taut - w_neg, f_pos + f_neg + 2 * taut
-        word = None
         if den == 0:
             # t2 = -f2: both decisions forced
-            value = f2 <= 0
-        elif num <= 0 or num >= den:
-            value = num > 0
-        else:
-            word = next(words)
-            value = word * den < num * _TWO64
-        if word is None:
-            num, den = int(value), 1
-        records.append((v, t2, f2, value, num, den, word))
-        return value
+            return (1, 1) if f2 <= 0 else (0, 1)
+        if num <= 0 or num >= den:
+            return (1, 1) if num > 0 else (0, 1)
+        return num, den
 
-    values, weight = drive(formula, order, pick)
-    return RunResult(tuple(values), weight, tuple(records), seed)
+    return drive(formula, order, pick, seed)
 
 
 def run_weight(
@@ -155,10 +164,10 @@ def run_weight(
     """Weight-only fast path of run_randomized (same kernel, same decide(),
     no step records); used for Monte Carlo sweeps.
 
-    It keeps its own loop instead of bookkeep.drive: on acceptance-shape
-    instances (n <= 10, m <= 30), a pick callback per step made run_weight
-    13-17% slower than an inline copy of the rule, this loop's one decide()
-    call 3-5% (Python 3.11, 2-vCPU Xeon VM).
+    It keeps its own loop instead of drive: on acceptance-shape instances
+    (n <= 10, m <= 30), a pick callback per step made run_weight 13-17%
+    slower than an inline copy of the rule, this loop's one decide() call
+    3-5% (Python 3.11, 2-vCPU Xeon VM).
     """
     occ, open_counts = formula.compiled
     clause_sat = [False] * len(open_counts)
@@ -176,15 +185,11 @@ def run_weight(
 
 
 def _run_greedy(formula, order, prefer_true) -> RunResult:
-    records = []
-
-    def pick(v, t2, f2, sums):
-        value = prefer_true(*sums)
-        records.append((v, t2, f2, value, int(value), 1, None))
-        return value
-
-    values, weight = drive(formula, order, pick)
-    return RunResult(tuple(values), weight, tuple(records), None)
+    return drive(
+        formula,
+        order,
+        lambda v, t2, f2, sums: (1, 1) if prefer_true(*sums) else (0, 1),
+    )
 
 
 def run_greedy_sat(

@@ -14,9 +14,10 @@ Dash and Espinoza): the duals read from the final objective row must be
 dual feasible and their objective must equal the primal one
 (check_certificate).
 
-The rounding run keeps the coverage of every clause and, per step,
-updates only the clauses of the variable it sets; lp_value is the full
-rescan it must agree with.
+The rounding run is a deterministic pick rule for greedy.drive.  It keeps
+the coverage of every clause as an integer over one common denominator
+and, per step, updates only the clauses of the variable it sets; lp_value
+is the full rescan it must agree with.
 """
 
 from __future__ import annotations
@@ -26,9 +27,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Optional, Sequence
 
-from .bookkeep import LemmaViolation, drive
+from .bookkeep import LemmaViolation
 from .formula import Formula
-from .greedy import RunResult
+from .greedy import RunResult, drive
 
 
 @dataclass(frozen=True)
@@ -274,16 +275,20 @@ def run_lp_rounding(
     increase for both settings; the analysis guarantees at least one
     comparison succeeds.  Every comparison is exact: doubled integers
     against LP values held as integers over one common denominator d of
-    y*.  The mixed LP value is lp_value once at the start, then kept up to
-    date from the coverage of the clauses of the variable being set.
+    y*.  The mixed LP value starts as sum_j w_j * min(1, coverage_j) and is
+    kept up to date from the coverage of the clauses of the variable being
+    set.  Raises ValueError for a y* of the wrong length or outside [0, 1].
     on_step, when given, receives the per-step check data for lemma
     reporting.
     """
     if sol is None:
         sol = solve_lp(build_relaxation(formula))
     y_star = [Fraction(v) for v in sol.y_star]
-    records = []
-    lp_start = lp_value(formula, y_star)
+    if len(y_star) != formula.num_vars:
+        raise ValueError("y length does not match num_vars")
+    bad = [y for y in y_star if not 0 <= y <= 1]
+    if bad:
+        raise ValueError(f"y entry {bad[0]} outside [0, 1]")
     d = math.lcm(*(y.denominator for y in y_star))
     y_d = [y.numerator * (d // y.denominator) for y in y_star]
     # coverage_j and every LP value below are times d, so integers
@@ -291,7 +296,7 @@ def run_lp_rounding(
         sum(y_d[v - 1] for v in c.pos) + sum(d - y_d[v - 1] for v in c.neg)
         for c in formula.clauses
     ]
-    lp_prev = lp_start.numerator * (d // lp_start.denominator)
+    lp_prev = sum(c.weight * min(d, x) for c, x in zip(formula.clauses, coverage))
     occ = formula.compiled.occ
 
     def pick(v, t2, f2, sums):
@@ -337,9 +342,7 @@ def run_lp_rounding(
         moved = d * value - y
         for j, sign, _ in occ[v]:
             coverage[j] += sign * moved
-        records.append((v, t2, f2, value, int(value), 1, None))
         lp_prev = lp_next
-        return value
+        return (1, 1) if value else (0, 1)
 
-    values, weight = drive(formula, order, pick)
-    return RunResult(tuple(values), weight, tuple(records), None)
+    return drive(formula, order, pick)

@@ -18,8 +18,8 @@ from maxsat34 import (
     satisfied_weight,
     step_quantities,
 )
-from maxsat34.bookkeep import drive, step_deltas
-from maxsat34.greedy import splitmix64
+from maxsat34.bookkeep import step_deltas
+from maxsat34.greedy import drive, splitmix64
 
 from conftest import clause, formula, rescan_deltas, scan_optimum
 from reference_oracles import recompute_sat_unsat
@@ -101,7 +101,7 @@ def alpha_sums(f, order, values):
     def pick(v, t2, f2, sums):
         taut, w, wbar, f_, fbar = sums
         out.append((w, wbar, f_ + taut, fbar + taut))
-        return values[v - 1]
+        return (int(values[v - 1]), 1)
 
     drive(f, order, pick)
     return out

@@ -161,6 +161,29 @@ def test_negative_order_seed_is_rejected(capsys, unit_file, command):
     assert err == "error: --order-seed must be >= 0, got -7\n"
 
 
+TWO64 = 1 << 64
+
+
+@pytest.mark.parametrize(
+    "argv, bad, top",
+    [
+        # SplitMix64 reads -1 as 2^64 - 1, and 2^64 as 0
+        (["solve", "--alg", "rand34"], -1, TWO64 - 1),
+        (["solve", "--alg", "vanzuylen"], TWO64, TWO64 - 1),
+        (["solve", "--alg", "greedy-sat"], -1, TWO64 - 1),
+        (["expectation", "--trials", "5"], -1, TWO64 - 5),
+        # the trials use seeds S .. S + 4, and S + 4 would alias to 0
+        (["expectation", "--trials", "5"], TWO64 - 4, TWO64 - 5),
+    ],
+)
+def test_splitmix_seed_out_of_range_is_rejected(capsys, pair_file, argv, bad, top):
+    code, out, err = run(capsys, *argv, pair_file, f"--seed={bad}")
+    assert (code, out) == (2, "")
+    assert err == f"error: --seed must be in 0..{top}, got {bad}\n"
+    code, out, _ = run(capsys, *argv, pair_file, f"--seed={top}")
+    assert code == 0 and out
+
+
 def test_verify_single_instance(capsys, unit_file):
     code, out, _ = run(capsys, "verify", unit_file)
     assert code == 0

@@ -4,6 +4,7 @@ from maxsat34 import (
     greedy,
     run_greedy_sat,
     run_greedy_unsat,
+    run_lp_rounding,
     run_randomized,
     run_vanzuylen,
     run_weight,
@@ -33,6 +34,44 @@ def test_decide_randomized(three_clause, monkeypatch):
     assert first.draw == first.prob_true == Fraction(1, 2)
     assert first.value is False
     assert run_weight(three_clause) == r.weight
+    # the alpha rule draws through the same sampler, with the same test
+    vz = run_vanzuylen(three_clause)
+    first = vz.steps[0]
+    assert first.draw == first.prob_true == Fraction(1, 2)
+    assert first.value is False
+    assert vz == r
+
+
+def test_every_run_draws_once_per_random_step(small_corpus, monkeypatch):
+    """Each drawn word is recorded in the step that used it, and the
+    deterministic runs draw none."""
+    drawn = []
+    real = greedy.splitmix64
+
+    def counting(seed):
+        for word in real(seed):
+            drawn.append(word)
+            yield word
+
+    monkeypatch.setattr(greedy, "splitmix64", counting)
+    runs = {
+        "rand34": lambda f, s: run_randomized(f, seed=s),
+        "vanzuylen": lambda f, s: run_vanzuylen(f, seed=s),
+        "greedy-sat": lambda f, s: run_greedy_sat(f),
+        "greedy-unsat": lambda f, s: run_greedy_unsat(f),
+        "lp-round": lambda f, s: run_lp_rounding(f),
+    }
+    for name, run in runs.items():
+        randomized = name in ("rand34", "vanzuylen")
+        total = 0
+        for s, f in enumerate(small_corpus):
+            drawn.clear()
+            r = run(f, s)
+            words = [word for *_, word in r.records if word is not None]
+            assert words == drawn, name
+            assert r.seed == (s if randomized else None), name
+            total += len(words)
+        assert (total > 0) == randomized, name
 
 
 def test_run_randomized_unit_clause():

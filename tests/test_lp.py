@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 
 from maxsat34 import (
+    LpSolution,
     SimplexError,
     brute_force_opt,
     build_relaxation,
@@ -181,6 +182,22 @@ def test_rounding_integral_optimum():
     r = run_lp_rounding(f)
     assert r.assignment == (True,)
     assert r.weight == 1
+
+
+@pytest.mark.parametrize(
+    "y_star, message",
+    [
+        ((Fraction(1, 2),), "y length does not match num_vars"),
+        ((Fraction(1, 2), Fraction(1), Fraction(0)), "y length does not match"),
+        ((Fraction(3, 2), Fraction(0)), r"y entry 3/2 outside \[0, 1\]"),
+        ((Fraction(1), Fraction(-1, 3)), r"y entry -1/3 outside \[0, 1\]"),
+    ],
+)
+def test_rounding_rejects_a_bad_y_star(y_star, message):
+    f = formula(2, clause(pos=(1, 2)), clause(neg=(1,)))
+    sol = LpSolution(y_star, Fraction(1))
+    with pytest.raises(ValueError, match=message):
+        run_lp_rounding(f, sol=sol)
 
 
 def test_rounding_opposing_units():
